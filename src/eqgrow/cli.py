@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .closure import ClosureParams, estimate_mu, simulate_ode
-from .engine import SUBSTRATES, dump_rules, load_rules, run_discovery
+from .engine import SUBSTRATES, load_rules
 from .growth import (DEFAULT_MODELS, MODELS, bootstrap_ci, fit_csv_row,
                      FIT_CSV_HEADER, oos_forecast, read_series_csv,
                      select_model, series_from_sizes, write_series_csv)
@@ -86,7 +86,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", nargs="+", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--rules-dir", help="also dump committed rule files here")
+    p.add_argument("--rules-dir", help="also dump each run's committed rules "
+                                       "here; configs without a rule file rerun")
 
     p = sub.add_parser("analyze", help="fit exponents and window winners")
     p.add_argument("trajectories", help="sweep JSONL file")
@@ -161,7 +162,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="render analyze output as text or SVG")
     p.add_argument("out_dir", help="directory produced by analyze")
-    p.add_argument("--format", choices=("text", "svg", "csv"), default="text")
+    p.add_argument("--format", choices=("text", "svg"), default="text")
     p.add_argument("--trajectories", help="sweep JSONL for svg trajectory plots")
     return parser
 
@@ -196,17 +197,12 @@ def _cmd_sweep(args) -> int:
         done["count"] = i
         print(f"\r{i}/{total} configurations", end="", file=sys.stderr)
 
-    records = run_sweep(plan, args.out, progress=progress)
+    records = run_sweep(plan, args.out, progress=progress,
+                        rules_dir=args.rules_dir)
     if done["count"]:
         print(file=sys.stderr)
     errors = sum(1 for r in records if "error" in r)
     print(f"{len(records)} trajectories in {args.out} ({errors} errors)")
-    if args.rules_dir:
-        os.makedirs(args.rules_dir, exist_ok=True)
-        for config in plan.configs():
-            result = run_discovery(config)
-            name = "_".join(str(v) for v in config.key()) + ".rules"
-            dump_rules(os.path.join(args.rules_dir, name), result.rules)
     return EXIT_OK
 
 
@@ -354,7 +350,7 @@ def _cmd_report(args) -> int:
     exp_path = os.path.join(args.out_dir, "exponents.csv")
     if not os.path.exists(exp_path):
         raise ValueError(f"{exp_path}: run analyze first")
-    if args.format in ("text", "csv"):
+    if args.format == "text":
         with open(os.path.join(args.out_dir, "domain_table.csv"),
                   encoding="utf-8") as fh:
             print(fh.read())

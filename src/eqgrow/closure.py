@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .growth import GrowthSeries
-from .terms import SubstrateSpec, Term, enumerate_terms, match
+from .terms import SubstrateSpec, Term, count_terms, enumerate_terms, match
 
 N0_LIFT = 1e-12  # lifts the S = 0 fixed point when k > 0
 
@@ -159,10 +159,9 @@ def coverage_fraction(rule, spec: SubstrateSpec, depth: int,
                       cap: int = 10_000_000,
                       subterm_positions: bool = False) -> float:
     lhs = rule.lhs if hasattr(rule, "lhs") else rule
-    total = len(enumerate_terms(spec, lhs.sort, depth, cap=cap))
     covered = coverage_set(lhs, spec, depth, cap=cap,
                            subterm_positions=subterm_positions)
-    return len(covered) / total
+    return len(covered) / count_terms(spec, lhs.sort, depth)
 
 
 def estimate_mu(rules, spec: SubstrateSpec, depth: int,
@@ -171,7 +170,8 @@ def estimate_mu(rules, spec: SubstrateSpec, depth: int,
     """Mean coverage fraction over committed rules plus pairwise overlap.
 
     Overlap is normalized by the smaller coverage set, giving a [0, 1]
-    dependence score; disjoint coverage scores 0, nesting scores 1.
+    dependence score; disjoint coverage scores 0, nesting scores 1.  The
+    space size sums the term counts of the distinct left-side sorts.
     """
     if not rules:
         raise ValueError("estimate_mu needs at least one rule")
@@ -179,11 +179,10 @@ def estimate_mu(rules, spec: SubstrateSpec, depth: int,
     fractions = []
     for rule in rules:
         lhs = rule.lhs if hasattr(rule, "lhs") else rule
-        total = len(enumerate_terms(spec, lhs.sort, depth, cap=cap))
         cov = coverage_set(lhs, spec, depth, cap=cap,
                            subterm_positions=subterm_positions)
         sets.append((lhs.sort, cov))
-        fractions.append(len(cov) / total)
+        fractions.append(len(cov) / count_terms(spec, lhs.sort, depth))
     n = len(rules)
     overlap = np.zeros((n, n))
     for i in range(n):
@@ -196,10 +195,9 @@ def estimate_mu(rules, spec: SubstrateSpec, depth: int,
             else:
                 value = len(cov_i & cov_j) / denom
             overlap[i, j] = overlap[j, i] = value
-    count_space = len(enumerate_terms(
-        spec, (rules[0].lhs if hasattr(rules[0], "lhs") else rules[0]).sort,
-        depth, cap=cap))
+    space_size = sum(count_terms(spec, sort, depth)
+                     for sort in {sort for sort, _ in sets})
     return CoverageReport(fractions=fractions,
                           mu_hat=float(np.mean(fractions)),
                           overlap=overlap, depth=depth,
-                          space_size=count_space)
+                          space_size=space_size)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,12 @@ class ConfigError(ValueError):
     """Configuration outside the supported sweep sets."""
 
 
+# The fields that identify a run, in the order of ArchConfig.key() and of
+# every JSONL record.
+KEY_FIELDS = ("domain", "generator", "filter", "depth", "batch_size", "seed",
+              "epochs")
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """One sweep point of the architecture grid."""
@@ -85,8 +90,7 @@ class ArchConfig:
                     f"batch_size {self.batch_size} outside sweep set {SWEEP_BATCH_SIZES}")
 
     def key(self) -> tuple:
-        return (self.domain, self.generator, self.filter, self.depth,
-                self.batch_size, self.seed, self.epochs)
+        return tuple(getattr(self, name) for name in KEY_FIELDS)
 
 
 @dataclass(eq=False)
@@ -109,7 +113,6 @@ class Rule:
 class Trajectory:
     config: ArchConfig
     sizes: list[int]
-    wall_clock_per_epoch: list[float] | None = None
 
 
 @dataclass
@@ -238,21 +241,22 @@ def filter_passes(kind: str, lhs: Term, rhs: Term, ruleset: RuleSet) -> bool:
 # Environments and soundness
 # ---------------------------------------------------------------------------
 
+def _sample_value(sort: str, rng: np.random.Generator):
+    """Random value of a sort: ints uniform in [-10, 10], list lengths in [0, 5]."""
+    if sort == INT:
+        return int(rng.integers(INT_LOW, INT_HIGH + 1))
+    if sort == BOOL:
+        return bool(rng.integers(0, 2))
+    if sort == INTLIST:
+        length = int(rng.integers(0, LIST_LEN_MAX + 1))
+        return tuple(
+            int(v) for v in rng.integers(INT_LOW, INT_HIGH + 1, size=length))
+    raise ConfigError(f"cannot sample a value of sort {sort}")
+
+
 def sample_env(spec: SubstrateSpec, rng: np.random.Generator) -> dict:
-    """Random environment: ints uniform in [-10, 10], list lengths in [0, 5]."""
-    env: dict = {}
-    for name, sort in spec.variables:
-        if sort == INT:
-            env[name] = int(rng.integers(INT_LOW, INT_HIGH + 1))
-        elif sort == BOOL:
-            env[name] = bool(rng.integers(0, 2))
-        elif sort == INTLIST:
-            length = int(rng.integers(0, LIST_LEN_MAX + 1))
-            env[name] = tuple(
-                int(v) for v in rng.integers(INT_LOW, INT_HIGH + 1, size=length))
-        else:
-            raise ConfigError(f"cannot sample a value of sort {sort}")
-    return env
+    """Random environment over the substrate's variables, in grammar order."""
+    return {name: _sample_value(sort, rng) for name, sort in spec.variables}
 
 
 def sound(lhs: Term, rhs: Term, spec: SubstrateSpec,
@@ -287,17 +291,7 @@ def recheck_rule(rule: "Rule", spec: SubstrateSpec,
                 return False
         return True
     for _ in range(SOUND_SAMPLES):
-        env = {}
-        for name, sort in names:
-            if sort == INT:
-                env[name] = int(rng.integers(INT_LOW, INT_HIGH + 1))
-            elif sort == BOOL:
-                env[name] = bool(rng.integers(0, 2))
-            else:
-                length = int(rng.integers(0, LIST_LEN_MAX + 1))
-                env[name] = tuple(
-                    int(v) for v in rng.integers(INT_LOW, INT_HIGH + 1,
-                                                 size=length))
+        env = {name: _sample_value(sort, rng) for name, sort in names}
         if evaluate(rule.lhs, env) != evaluate(rule.rhs, env):
             return False
     return True
@@ -338,9 +332,6 @@ class GeneratorState:
     @property
     def pool_size(self) -> int:
         return len(self.occurrences)
-
-    def freq_of(self, i: int) -> int:
-        return self.commit_count - self.birth[i]
 
     def harvest(self, terms: list[Term]):
         for t in terms:
@@ -461,7 +452,7 @@ def _config_rng(config: ArchConfig) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def run_discovery(config: ArchConfig, record_wall_clock: bool = False) -> DiscoveryResult:
+def run_discovery(config: ArchConfig) -> DiscoveryResult:
     """Run the full discovery loop for one configuration."""
     spec = SUBSTRATES[config.domain]
     rng = _config_rng(config)
@@ -469,10 +460,8 @@ def run_discovery(config: ArchConfig, record_wall_clock: bool = False) -> Discov
     ruleset = RuleSet()
     seen: set[tuple[str, str]] = set()
     sizes: list[int] = []
-    clocks: list[float] = [] if record_wall_clock else None
 
     for _ in range(config.epochs):
-        t0 = time.perf_counter() if record_wall_clock else 0.0
         if spec.exhaustive_bool:
             envs = BOOL_WORLDS
         else:
@@ -511,16 +500,9 @@ def run_discovery(config: ArchConfig, record_wall_clock: bool = False) -> Discov
             seen.add(key)
             state.harvest(subterms(lhs_c) + subterms(rhs_c))
         sizes.append(len(ruleset.rules))
-        if record_wall_clock:
-            clocks.append(time.perf_counter() - t0)
 
-    trajectory = Trajectory(config=config, sizes=sizes,
-                            wall_clock_per_epoch=clocks)
+    trajectory = Trajectory(config=config, sizes=sizes)
     return DiscoveryResult(trajectory=trajectory, rules=ruleset.rules)
-
-
-def discover(config: ArchConfig) -> Trajectory:
-    return run_discovery(config).trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +510,8 @@ def discover(config: ArchConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def trajectory_record(trajectory: Trajectory) -> dict:
-    c = trajectory.config
     return {
-        "domain": c.domain,
-        "generator": c.generator,
-        "filter": c.filter,
-        "depth": c.depth,
-        "batch_size": c.batch_size,
-        "seed": c.seed,
-        "epochs": c.epochs,
+        **dict(zip(KEY_FIELDS, trajectory.config.key())),
         "sizes": list(trajectory.sizes),
         "engine_version": ENGINE_VERSION,
         "prng_id": PRNG_ID,
@@ -545,16 +520,6 @@ def trajectory_record(trajectory: Trajectory) -> dict:
 
 def record_to_json(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
-
-
-def read_trajectory_file(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def dump_rules(path, rules: list[Rule]):

@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import ndtr
 
 MODELS = ("power_law", "stretched_exp", "saturating_pl", "linear", "log_normal")
-SHORT_RANGE_MODELS = ("power_law", "stretched_exp", "linear", "log_normal")
 DEFAULT_MODELS = ("power_law", "stretched_exp", "saturating_pl")
 
 MAX_ITER = 500

@@ -1,25 +1,29 @@
 """Sweep execution over architecture grids and trajectory analysis.
 
 A sweep plan is a cartesian product over domains, generators, filters,
-depths, batch sizes, and seeds at a fixed epoch count.  Runs append
-JSON-lines trajectory records; completed configurations are skipped on
-rerun, so interrupted sweeps resume cleanly.  Configurations are
+depths, batch sizes, and seeds at a fixed epoch count.  Runs append one
+JSON-lines trajectory record per configuration, flushed as it arrives, so a
+killed sweep keeps every finished record; completed configurations are
+skipped on rerun, so interrupted sweeps resume cleanly.  Configurations are
 independent, so the pool of worker processes changes nothing observable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .engine import (ArchConfig, FILTERS, GENERATORS, SWEEP_BATCH_SIZES,
-                     SWEEP_DEPTHS, record_to_json, run_discovery,
+from .engine import (ArchConfig, ENGINE_VERSION, FILTERS, GENERATORS,
+                     KEY_FIELDS, PRNG_ID, SWEEP_BATCH_SIZES, SWEEP_DEPTHS,
+                     dump_rules, record_to_json, run_discovery,
                      trajectory_record)
 from .growth import (DEFAULT_MODELS, fit_power_law, select_model,
                      series_from_sizes)
@@ -66,66 +70,110 @@ def long_range_plan(seeds=(0, 1, 2, 3, 4), epochs: int = 500) -> SweepPlan:
                      seeds=tuple(seeds), epochs=epochs)
 
 
-def _run_config(config: ArchConfig) -> dict:
+def _rules_path(rules_dir, config: ArchConfig) -> str:
+    """The rule file a sweep with ``rules_dir`` writes for one configuration."""
+    return os.path.join(rules_dir, "_".join(map(str, config.key())) + ".rules")
+
+
+def _run_config(config: ArchConfig, rules_dir=None) -> dict:
+    """One configuration's record; its rule file is complete before it returns."""
     try:
         result = run_discovery(config)
-        return trajectory_record(result.trajectory)
     except Exception as exc:  # per-config failures must not abort the sweep
-        record = {
-            "domain": config.domain, "generator": config.generator,
-            "filter": config.filter, "depth": config.depth,
-            "batch_size": config.batch_size, "seed": config.seed,
-            "epochs": config.epochs, "error": f"{type(exc).__name__}: {exc}",
-        }
-        return record
+        return {**dict(zip(KEY_FIELDS, config.key())),
+                "error": f"{type(exc).__name__}: {exc}"}
+    if rules_dir is not None:
+        dump_rules(_rules_path(rules_dir, config), result.rules)
+    return trajectory_record(result.trajectory)
 
 
 def _record_key(record: dict) -> tuple:
-    return (record["domain"], record["generator"], record["filter"],
-            record["depth"], record["batch_size"], record["seed"],
-            record["epochs"])
+    return tuple(record[name] for name in KEY_FIELDS)
 
 
 def read_sweep_file(path) -> list[dict]:
-    records = []
+    """The records of a sweep file, or [] when there is none.
+
+    A last line without its line break that does not parse is the torn
+    tail of a killed write and is dropped, so its configuration reruns.
+    A malformed line anywhere else raises ValueError.
+    """
     if not os.path.exists(path):
-        return records
+        return []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        lines = fh.readlines()
+    records = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if i == len(lines) - 1 and not line.endswith("\n"):
+                break
+            raise ValueError(f"{path}: line {i + 1}: {exc.msg}") from None
     return records
 
 
-def run_sweep(plan: SweepPlan, out_path, progress=None) -> list[dict]:
+@contextlib.contextmanager
+def _open_for_append(path):
+    """Binary append handle whose first write starts a line of its own: a
+    torn last line (see read_sweep_file) is cut, a whole one terminated."""
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        tail = data[data.rfind(b"\n") + 1:]
+        if tail:
+            try:
+                json.loads(tail)
+            except ValueError:
+                fh.truncate(len(data) - len(tail))
+            else:
+                fh.write(b"\n")
+        yield fh
+
+
+def run_sweep(plan: SweepPlan, out_path, progress=None,
+              rules_dir=None) -> list[dict]:
     """Execute all pending plan configurations, appending to ``out_path``.
 
-    Already-present configuration keys are skipped.  Returns every record
-    of the plan (existing plus new), in plan order.
+    Each record is appended and flushed as it arrives, in plan order, so a
+    killed sweep resumes after its last whole record.  With ``rules_dir``,
+    each run also writes its rule file there, and a configuration missing
+    one reruns without appending its record twice.  A file holding records
+    of another engine version or PRNG is not resumed (ValueError).
+    Returns every record of the plan (existing plus new), in plan order.
     """
     existing = {_record_key(r): r for r in read_sweep_file(out_path)}
     configs = plan.configs()
-    pending = [c for c in configs if c.key() not in existing]
-    workers = plan.workers or os.cpu_count() or 1
-    new_records = []
+    pending = [c for c in configs if c.key() not in existing
+               or (rules_dir is not None
+                   and not os.path.exists(_rules_path(rules_dir, c)))]
     if pending:
-        if workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for i, record in enumerate(pool.map(_run_config, pending,
-                                                    chunksize=4)):
-                    new_records.append(record)
-                    if progress:
-                        progress(i + 1, len(pending))
-        else:
-            for i, config in enumerate(pending):
-                new_records.append(_run_config(config))
+        for r in existing.values():
+            if "error" not in r and (r.get("engine_version"), r.get(
+                    "prng_id")) != (ENGINE_VERSION, PRNG_ID):
+                raise ValueError(
+                    f"{out_path}: cannot resume records of "
+                    f"{r.get('engine_version')} ({r.get('prng_id')}) with "
+                    f"{ENGINE_VERSION} ({PRNG_ID})")
+        if rules_dir is not None:
+            os.makedirs(rules_dir, exist_ok=True)
+        workers = plan.workers or os.cpu_count() or 1
+        in_process = workers <= 1 or len(pending) == 1
+        run = partial(_run_config, rules_dir=rules_dir)
+        with _open_for_append(out_path) as fh, (
+                contextlib.nullcontext() if in_process
+                else ProcessPoolExecutor(max_workers=workers)) as pool:
+            records = (map(run, pending) if in_process
+                       else pool.map(run, pending, chunksize=4))
+            for i, (config, record) in enumerate(zip(pending, records), 1):
+                if config.key() not in existing:
+                    fh.write((record_to_json(record) + "\n").encode("utf-8"))
+                    fh.flush()
+                    existing[config.key()] = record
                 if progress:
-                    progress(i + 1, len(pending))
-        with open(out_path, "a", encoding="utf-8") as fh:
-            for record in new_records:
-                fh.write(record_to_json(record) + "\n")
-        existing.update({_record_key(r): r for r in new_records})
+                    progress(i, len(pending))
     return [existing[c.key()] for c in configs if c.key() in existing]
 
 

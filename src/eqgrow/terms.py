@@ -123,16 +123,6 @@ def app(op: Operator, args) -> Term:
     return Term("app", op.name, None, args, op.result)
 
 
-def is_pattern_var(t: Term) -> bool:
-    return t.kind == "var" and t.label[0].isupper()
-
-
-def is_concrete(t: Term) -> bool:
-    if is_pattern_var(t):
-        return False
-    return all(is_concrete(a) for a in t.args)
-
-
 def pattern_var_name(index: int) -> str:
     letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
     if index < 26:
@@ -187,12 +177,6 @@ class SubstrateSpec:
     @cached_property
     def variable_sorts(self) -> dict[str, str]:
         return dict(self.variables)
-
-    def apply(self, op_name: str, args) -> Term:
-        op = self.ops_by_name.get(op_name)
-        if op is None:
-            raise TermError(f"unknown operator {op_name!r} in {self.domain_id}")
-        return app(op, args)
 
 
 ARITH = SubstrateSpec(

@@ -6,6 +6,7 @@ import pytest
 
 import eqgrow.sweep as sweep_mod
 from eqgrow.cli import main
+from eqgrow.engine import dump_rules, run_discovery
 from eqgrow.ingest import CommitRecord, format_log
 from eqgrow.report import (render_table, svg_line_plot, svg_scatter, write_csv)
 from eqgrow.sweep import (SweepPlan, analyze, long_range_plan,
@@ -14,6 +15,10 @@ from eqgrow.sweep import (SweepPlan, analyze, long_range_plan,
 SMALL_PLAN = SweepPlan(domains=("bool",), generators=("random",),
                        filters=("any", "novelty"), depths=(2, 3),
                        batch_sizes=(40,), seeds=(0,), epochs=10, workers=1)
+SMALL_PLAN_ARGS = ["--domains", "bool", "--generators", "random",
+                   "--filters", "any", "novelty", "--depths", "2", "3",
+                   "--batch-sizes", "40", "--seeds", "0", "--epochs", "10",
+                   "--workers", "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +76,70 @@ def test_failed_config_records_error(tmp_path, monkeypatch):
     assert len(records) == 1
     assert "boom" in records[0]["error"]
     assert records[0]["domain"] == "bool"
+
+
+def _count_discoveries(monkeypatch, interrupt_at=None):
+    """Route sweep.run_discovery through a wrapper that records each config
+    and, at call ``interrupt_at``, raises KeyboardInterrupt as a kill would."""
+    real = sweep_mod.run_discovery
+    calls = []
+
+    def wrapper(config):
+        calls.append(config.key())
+        if len(calls) == interrupt_at:
+            raise KeyboardInterrupt
+        return real(config)
+    monkeypatch.setattr(sweep_mod, "run_discovery", wrapper)
+    return calls
+
+
+def test_killed_sweep_resumes_byte_identical(tmp_path, monkeypatch):
+    full = tmp_path / "full.jsonl"
+    run_sweep(SMALL_PLAN, full)
+    out = tmp_path / "killed.jsonl"
+    with monkeypatch.context() as patch:
+        _count_discoveries(patch, interrupt_at=3)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(SMALL_PLAN, out)
+    lines = full.read_bytes().splitlines(keepends=True)
+    assert out.read_bytes() == b"".join(lines[:2])
+    with open(out, "ab") as fh:
+        fh.write(lines[2][:25])
+    assert read_sweep_file(out) == read_sweep_file(full)[:2]
+    run_sweep(SMALL_PLAN, out)
+    assert out.read_bytes() == full.read_bytes()
+
+
+def test_only_a_torn_last_line_is_forgiven(tmp_path):
+    full = tmp_path / "full.jsonl"
+    run_sweep(SMALL_PLAN, full)
+    lines = full.read_bytes().splitlines(keepends=True)
+    middle = tmp_path / "middle.jsonl"
+    middle.write_bytes(lines[0] + lines[1][:25] + b"\n" + lines[2])
+    with pytest.raises(ValueError, match="line 2"):
+        read_sweep_file(middle)
+    with pytest.raises(ValueError):
+        run_sweep(SMALL_PLAN, middle)
+    # A whole last record that lost only its line break is kept.
+    unterminated = tmp_path / "unterminated.jsonl"
+    unterminated.write_bytes(b"".join(lines[:2]).rstrip(b"\n"))
+    assert read_sweep_file(unterminated) == read_sweep_file(full)[:2]
+    run_sweep(SMALL_PLAN, unterminated)
+    assert unterminated.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["engine_version", "prng_id"])
+def test_resume_refuses_other_engine(tmp_path, capsys, field):
+    out = tmp_path / "old.jsonl"
+    run_sweep(SweepPlan(**{**SMALL_PLAN.__dict__, "depths": (2,)}), out)
+    records = read_sweep_file(out)
+    records[0][field] = "other"
+    out.write_text("".join(json.dumps(r) + "\n" for r in records))
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match="other"):
+        run_sweep(SMALL_PLAN, out)
+    assert main(["sweep", "--out", str(out)] + SMALL_PLAN_ARGS) == 2
+    assert out.read_bytes() == before
 
 
 def test_parallel_matches_serial(tmp_path):
@@ -219,6 +288,29 @@ def test_cli_sweep_analyze_pipeline(tmp_path, capsys):
     assert (out_dir / "trajectories.svg").exists()
 
 
+def test_cli_rules_dir_reuses_the_sweep_run(tmp_path, monkeypatch, capsys):
+    calls = _count_discoveries(monkeypatch)
+    out, rules_dir = tmp_path / "t.jsonl", tmp_path / "rules"
+    argv = ["sweep", "--out", str(out), "--rules-dir", str(rules_dir)]
+    argv += SMALL_PLAN_ARGS
+    configs = SMALL_PLAN.configs()
+    assert main(argv) == 0
+    assert calls == [c.key() for c in configs]
+    names = ["_".join(map(str, c.key())) + ".rules" for c in configs]
+    want = tmp_path / "want.rules"
+    for config, name in zip(configs, names):
+        dump_rules(want, run_discovery(config).rules)
+        assert (rules_dir / name).read_bytes() == want.read_bytes()
+    before = out.read_bytes()
+    calls.clear()
+    for name in names[1:3]:
+        os.remove(rules_dir / name)
+    assert main(argv) == 0
+    assert calls == [c.key() for c in configs[1:3]]
+    assert sorted(os.listdir(rules_dir)) == sorted(names)
+    assert out.read_bytes() == before
+
+
 def test_cli_fit_bootstrap_forecast(tmp_path, capsys):
     series = tmp_path / "series.csv"
     t = np.arange(1, 61, dtype=float)
@@ -280,3 +372,11 @@ def test_cli_mu_command(tmp_path, capsys):
                  "--out", str(tmp_path / "mu")]) == 0
     assert (tmp_path / "mu_fractions.csv").exists()
     assert (tmp_path / "mu_overlap.csv").exists()
+
+
+def test_cli_mu_space_sums_distinct_sorts(tmp_path, capsys):
+    rules = tmp_path / "list.rules"
+    rules.write_text("(length (append A B)) => (length (append B A))\n"
+                     "(reverse (reverse A)) => A\n(+ A 0) => A\n")
+    assert main(["mu", str(rules), "--domain", "list", "--depth", "2"]) == 0
+    assert "(space 240)" in capsys.readouterr().out   # 171 Int + 69 IntList
