@@ -126,92 +126,122 @@ class DiscoveryResult:
 # ---------------------------------------------------------------------------
 
 class RuleSet:
-    """Committed rules with hit-count-descending application order.
+    """Committed rules, indexed for lookup by a discrimination tree.
 
-    Ties break by insertion index ascending.  The sorted view is cached and
-    refreshed lazily after hit counts change.
+    The tree is keyed on the preorder symbols ``(kind, label)`` of each
+    left side, with every pattern variable a wildcard that skips one whole
+    subterm, so a lookup at a term position returns every rule that could
+    match there and ``match`` confirms it.  Rules take precedence by
+    ``(-hit_count, insertion_index, order of addition)``; a rule that
+    matches at several positions applies at the first in preorder.  A rule
+    whose left side is not an operator application never applies.
     """
 
     def __init__(self):
         self.rules: list[Rule] = []
-        self._ordered: list[Rule] | None = []
+        # (node, kind, label) -> child node; kind and label are None for a
+        # pattern variable.  Node 0 is the root.
+        self._edges: dict[tuple, int] = {}
+        # leaf node -> [(order of addition, rule)]
+        self._leaves: dict[int, list[tuple[int, Rule]]] = {}
 
     def __len__(self):
         return len(self.rules)
 
     def add(self, rule: Rule):
+        if rule.lhs.kind == "app":
+            node = 0
+            for t in _preorder(rule.lhs):
+                key = ((node, None, None)
+                       if t.kind == "var" and t.label[0].isupper()
+                       else (node, t.kind, t.label))
+                child = self._edges.get(key)
+                if child is None:
+                    child = self._edges[key] = len(self._edges) + 1
+                node = child
+            self._leaves.setdefault(node, []).append((len(self.rules), rule))
         self.rules.append(rule)
-        self._ordered = None
 
-    def mark_hits_changed(self):
-        self._ordered = None
+    def candidates(self, nodes: list[Term]) -> list[tuple[int, int, Rule]]:
+        """``(position, order of addition, rule)`` for each rule whose left
+        side could match at a position of a term, given the term's nodes in
+        preorder; a position indexes ``nodes``.
 
-    def ordered(self) -> list[Rule]:
-        if self._ordered is None:
-            self._ordered = sorted(
-                self.rules, key=lambda r: (-r.hit_count, r.insertion_index))
-        return self._ordered
+        A symbol has one arity in every substrate, so a path that reaches a
+        leaf of the tree has read exactly the subterm at the position.
+        """
+        edges, leaves = self._edges, self._leaves
+        out = []
+        for i, t in enumerate(nodes):
+            root = edges.get((0, t.kind, t.label))
+            if root is None:
+                continue
+            stack = [(root, i + 1)]
+            while stack:
+                node, j = stack.pop()
+                found = leaves.get(node)
+                if found is not None:
+                    out.extend((i, order, rule) for order, rule in found)
+                    continue
+                n = nodes[j]
+                child = edges.get((node, n.kind, n.label))
+                if child is not None:
+                    stack.append((child, j + 1))
+                child = edges.get((node, None, None))
+                if child is not None:
+                    stack.append((child, j + n.size))
+        return out
 
 
-def _app_positions(term: Term) -> dict[str, list[tuple[int, ...]]]:
-    """Preorder paths of operator nodes, grouped by operator symbol."""
-    out: dict[str, list[tuple[int, ...]]] = {}
-    stack = [(term, ())]
+def _preorder(term: Term) -> list[Term]:
+    """The nodes of a term in preorder; the subterm at position i spans
+    positions i to i + size - 1."""
+    out = []
+    stack = [term]
     while stack:
-        t, path = stack.pop()
-        if t.kind == "app":
-            out.setdefault(t.label, []).append(path)
-            for i in range(len(t.args) - 1, -1, -1):
-                stack.append((t.args[i], path + (i,)))
+        t = stack.pop()
+        out.append(t)
+        stack.extend(reversed(t.args))
     return out
 
 
-def _subterm_at(term: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        term = term.args[i]
-    return term
-
-
-def _replace_at(term: Term, path: tuple[int, ...], replacement: Term) -> Term:
-    if not path:
+def _replace_at(term: Term, position: int, replacement: Term) -> Term:
+    """The term with its subterm at a preorder position replaced."""
+    if position == 0:
         return replacement
-    i = path[0]
+    i = 1
+    for k, arg in enumerate(term.args):
+        if position < i + arg.size:
+            break
+        i += arg.size
     args = list(term.args)
-    args[i] = _replace_at(args[i], path[1:], replacement)
+    args[k] = _replace_at(arg, position - i, replacement)
     return Term("app", term.label, None, tuple(args), term.sort)
 
 
 def normalize(term: Term, ruleset: RuleSet) -> Term:
     """Rewrite to a fixpoint or the step cap.
 
-    At each step the first applicable rule wins (hit-count-descending rule
-    order, preorder position scan within the term); each successful
-    application increments that rule's hit count.
+    At each step the applicable rule with the smallest ``(-hit_count,
+    insertion_index, order of addition)`` wins, at its first preorder
+    position in the term; each application increments that rule's hit
+    count.
     """
     if not ruleset.rules:
         return term
-    steps = 0
-    while steps < NORMALIZE_STEP_CAP:
-        positions = _app_positions(term)
-        found = None
-        for rule in ruleset.ordered():
-            paths = positions.get(rule.lhs.label)
-            if not paths:
-                continue
-            for path in paths:
-                bindings = match(rule.lhs, _subterm_at(term, path))
-                if bindings is not None:
-                    found = (rule, path, bindings)
-                    break
-            if found:
+    for _ in range(NORMALIZE_STEP_CAP):
+        nodes = _preorder(term)
+        candidates = sorted(
+            ruleset.candidates(nodes),
+            key=lambda c: (-c[2].hit_count, c[2].insertion_index, c[1], c[0]))
+        for position, _, rule in candidates:
+            bindings = match(rule.lhs, nodes[position])
+            if bindings is not None:
                 break
-        if found is None:
+        else:
             return term
-        rule, path, bindings = found
-        term = _replace_at(term, path, substitute(rule.rhs, bindings))
+        term = _replace_at(term, position, substitute(rule.rhs, bindings))
         rule.hit_count += 1
-        ruleset.mark_hits_changed()
-        steps += 1
     return term
 
 
@@ -221,12 +251,9 @@ def is_reducible(term: Term, ruleset: RuleSet) -> bool:
     Read-only probe: hit counts are not touched, so filter checks cannot
     perturb normalization order.
     """
-    positions = _app_positions(term)
-    for rule in ruleset.rules:
-        for path in positions.get(rule.lhs.label, ()):
-            if match(rule.lhs, _subterm_at(term, path)) is not None:
-                return True
-    return False
+    nodes = _preorder(term)
+    return any(match(rule.lhs, nodes[position]) is not None
+               for position, _, rule in ruleset.candidates(nodes))
 
 
 def filter_passes(kind: str, lhs: Term, rhs: Term, ruleset: RuleSet) -> bool:

@@ -4,7 +4,8 @@ A sweep plan is a cartesian product over domains, generators, filters,
 depths, batch sizes, and seeds at a fixed epoch count.  Runs append one
 JSON-lines trajectory record per configuration, flushed as it arrives, so a
 killed sweep keeps every finished record; completed configurations are
-skipped on rerun, so interrupted sweeps resume cleanly.  Configurations are
+skipped on rerun and failed ones retried, so interrupted sweeps resume
+cleanly.  Configurations are
 independent, so the pool of worker processes changes nothing observable.
 """
 
@@ -91,12 +92,20 @@ def _record_key(record: dict) -> tuple:
     return tuple(record[name] for name in KEY_FIELDS)
 
 
+def _done(records: dict, config: ArchConfig) -> bool:
+    """True when ``records`` (keyed by _record_key) holds a trajectory, not
+    an error, for the configuration."""
+    record = records.get(config.key())
+    return record is not None and "error" not in record
+
+
 def read_sweep_file(path) -> list[dict]:
     """The records of a sweep file, or [] when there is none.
 
     A last line without its line break that does not parse is the torn
     tail of a killed write and is dropped, so its configuration reruns.
-    A malformed line anywhere else raises ValueError.
+    A malformed line anywhere else, or a line that is not a JSON object,
+    raises ValueError.
     """
     if not os.path.exists(path):
         return []
@@ -107,11 +116,14 @@ def read_sweep_file(path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             if i == len(lines) - 1 and not line.endswith("\n"):
                 break
             raise ValueError(f"{path}: line {i + 1}: {exc.msg}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: line {i + 1}: not a JSON object")
+        records.append(record)
     return records
 
 
@@ -138,15 +150,18 @@ def run_sweep(plan: SweepPlan, out_path, progress=None,
     """Execute all pending plan configurations, appending to ``out_path``.
 
     Each record is appended and flushed as it arrives, in plan order, so a
-    killed sweep resumes after its last whole record.  With ``rules_dir``,
-    each run also writes its rule file there, and a configuration missing
-    one reruns without appending its record twice.  A file holding records
-    of another engine version or PRNG is not resumed (ValueError).
-    Returns every record of the plan (existing plus new), in plan order.
+    killed sweep resumes after its last whole record.  A configuration
+    whose record is an error reruns, and its new record, appended, replaces
+    the error record (the last record of a configuration counts).  With
+    ``rules_dir``, each run also writes its rule file there, and a
+    configuration missing one reruns without appending its record twice.
+    A file holding records of another engine version or PRNG is not
+    resumed (ValueError).  Returns every record of the plan (existing plus
+    new), in plan order.
     """
     existing = {_record_key(r): r for r in read_sweep_file(out_path)}
     configs = plan.configs()
-    pending = [c for c in configs if c.key() not in existing
+    pending = [c for c in configs if not _done(existing, c)
                or (rules_dir is not None
                    and not os.path.exists(_rules_path(rules_dir, c)))]
     if pending:
@@ -168,7 +183,7 @@ def run_sweep(plan: SweepPlan, out_path, progress=None,
             records = (map(run, pending) if in_process
                        else pool.map(run, pending, chunksize=4))
             for i, (config, record) in enumerate(zip(pending, records), 1):
-                if config.key() not in existing:
+                if not _done(existing, config):
                     fh.write((record_to_json(record) + "\n").encode("utf-8"))
                     fh.flush()
                     existing[config.key()] = record

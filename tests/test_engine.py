@@ -1,16 +1,19 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eqgrow.engine import (
-    ArchConfig, ConfigError, GeneratorState, Rule, RuleSet, dump_rules,
-    filter_passes, generate_candidate, is_reducible, load_rules, normalize,
-    record_to_json, recheck_rule, run_discovery, sound, trajectory_record,
-    _config_rng,
+    NORMALIZE_STEP_CAP, ArchConfig, ConfigError, GeneratorState, Rule,
+    RuleSet, dump_rules, filter_passes, generate_candidate, is_reducible,
+    load_rules, normalize, record_to_json, recheck_rule, run_discovery, sound,
+    trajectory_record, _config_rng,
 )
 from eqgrow.terms import (
-    ARITH, BOOLDOM, INT, INTLIST, LIST, SUBSTRATES, parse_term, subterms,
+    ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST, SUBSTRATES, Term, app, match,
+    parse_term, substitute, subterms, var,
 )
 
 BOOL_SMOKE_FINAL = 214  # bool/random/any/d3/bs80/seed0, 30 epochs
@@ -142,6 +145,139 @@ def test_normalize_outermost_position_first():
 
 
 # ---------------------------------------------------------------------------
+# the rule index against a linear scan of the sorted rules
+# ---------------------------------------------------------------------------
+
+def _reference_redex(term, rules):
+    """The first (rule, path, bindings) over the rules stably sorted by
+    (-hit_count, insertion_index), each tried at every operator node of the
+    term in preorder."""
+    paths = []
+    stack = [(term, ())]
+    while stack:
+        t, path = stack.pop()
+        if t.kind == "app":
+            paths.append((t, path))
+            stack.extend((t.args[i], path + (i,))
+                         for i in reversed(range(len(t.args))))
+    for r in sorted(rules, key=lambda r: (-r.hit_count, r.insertion_index)):
+        for t, path in paths:
+            if t.label == r.lhs.label:
+                bindings = match(r.lhs, t)
+                if bindings is not None:
+                    return r, path, bindings
+    return None
+
+
+def _reference_replace(term, path, replacement):
+    if not path:
+        return replacement
+    args = list(term.args)
+    args[path[0]] = _reference_replace(args[path[0]], path[1:], replacement)
+    return Term("app", term.label, None, tuple(args), term.sort)
+
+
+def reference_normalize(term, rules):
+    for _ in range(NORMALIZE_STEP_CAP):
+        found = _reference_redex(term, rules)
+        if found is None:
+            return term
+        r, path, bindings = found
+        term = _reference_replace(term, path, substitute(r.rhs, bindings))
+        r.hit_count += 1
+    return term
+
+
+PATTERN_VARS = {INT: ("A", "B"), INTLIST: ("C", "D"), BOOL: ("A", "B")}
+
+
+@st.composite
+def _terms(draw, spec, sort, depth, leaves, patterns=()):
+    """A term of ``sort`` and depth <= ``depth`` with leaves from
+    ``leaves[sort]``; some nodes are instances of ``patterns``, so that
+    rules whose left sides they are find redexes."""
+    fitting = [p for p in patterns if p.sort == sort]
+    if fitting and draw(st.integers(0, 3)) == 0:
+        pattern = draw(st.sampled_from(fitting))
+        return substitute(pattern, {
+            v.label: draw(_terms(spec, v.sort, 2, leaves))
+            for v in _pattern_vars(pattern)})
+    ops = spec.ops_by_result.get(sort, ())
+    if depth > 1 and ops and draw(st.booleans()):
+        op = draw(st.sampled_from(ops))
+        return app(op, [draw(_terms(spec, s, depth - 1, leaves, patterns))
+                        for s in op.arg_sorts])
+    return draw(st.sampled_from(leaves[sort]))
+
+
+@st.composite
+def rewrite_problems(draw):
+    """(spec, rules as (lhs, rhs, hit_count, insertion_index), term).
+
+    Left sides may repeat a pattern variable; right sides may grow the term,
+    commute the arguments or undo another rule, so some runs end at the
+    step cap; hit counts and insertion indexes are drawn from small ranges,
+    so ties are common; the term may hold pattern variables of its own.
+    """
+    spec = draw(st.sampled_from((ARITH, BOOLDOM, LIST)))
+    with_vars = {s: list(leaves) + [var(n, s) for n in PATTERN_VARS.get(s, ())]
+                 for s, leaves in spec.leaves_by_sort.items()}
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        sort = draw(st.sampled_from(spec.principal_sorts))
+        op = draw(st.sampled_from(spec.ops_by_result[sort]))
+        lhs = app(op, [draw(_terms(spec, s, 2, with_vars)) for s in op.arg_sorts])
+        bound = list(_pattern_vars(lhs))
+        rhs_leaves = {s: list(leaves) + [v for v in bound if v.sort == s]
+                      for s, leaves in spec.leaves_by_sort.items()}
+        if len(set(op.arg_sorts)) == 1 and draw(st.integers(0, 3)) == 0:
+            rhs = app(op, lhs.args[::-1])  # commutation: loops to the cap
+        else:
+            rhs = draw(_terms(spec, sort, 2, rhs_leaves))
+        rules.append((lhs, rhs, draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+    sort = draw(st.sampled_from(spec.principal_sorts))
+    term = draw(_terms(spec, sort, 4, with_vars, [lhs for lhs, *_ in rules]))
+    return spec, rules, term
+
+
+def _problem(spec, rules, term):
+    """An explicit rewrite problem from (lhs, rhs, hit_count, index) texts."""
+    parsed = []
+    for lhs, rhs, hits, index in rules:
+        r = rule(spec, lhs, rhs, index)
+        parsed.append((r.lhs, r.rhs, hits, index))
+    return spec, parsed, parse_term(spec, term)
+
+
+@settings(max_examples=500, deadline=None)
+@given(problem=rewrite_problems())
+@example(problem=_problem(  # nonlinear left side
+    ARITH, [("(+ A A)", "(* 2 A)", 0, 0)], "(* (+ x y) (+ (* x 1) (* x 1)))"))
+@example(problem=_problem(  # preset hit counts
+    ARITH, [("(+ A 0)", "A", 0, 0), ("(+ A 0)", "(* A 1)", 2, 1),
+            ("(* A 1)", "A", 1, 2)], "(+ (* (+ y 0) 1) 0)"))
+@example(problem=_problem(  # a shared insertion index: the first added wins
+    ARITH, [("(* A 1)", "A", 2, 0), ("(+ A B)", "B", 2, 0)], "(+ (* x 1) y)"))
+@example(problem=_problem(  # pattern variables inside the term
+    LIST, [("(reverse (reverse C))", "C", 0, 0), ("(append [] C)", "C", 0, 1)],
+    "(append [] (reverse (reverse (append C D))))"))
+@example(problem=_problem(  # the step cap
+    BOOLDOM, [("(and A B)", "(and B A)", 0, 0), ("(not (not A))", "A", 1, 1)],
+    "(or (and p (not (not q))) r)"))
+def test_normalize_matches_linear_scan(problem):
+    spec, rules, term = problem
+    indexed = [Rule(lhs, rhs, hits, index) for lhs, rhs, hits, index in rules]
+    scanned = [Rule(lhs, rhs, hits, index) for lhs, rhs, hits, index in rules]
+    rs = ruleset(*indexed)
+    assert is_reducible(term, rs) == (_reference_redex(term, scanned) is not None)
+    got = normalize(term, rs)
+    want = reference_normalize(term, scanned)
+    assert got == want
+    assert [r.hit_count for r in indexed] == [r.hit_count for r in scanned]
+    assert is_reducible(got, rs) == (_reference_redex(want, scanned) is not None)
+
+
+# ---------------------------------------------------------------------------
 # filters
 # ---------------------------------------------------------------------------
 
@@ -201,6 +337,26 @@ def test_bool_smoke_run_golden():
     assert result.trajectory.sizes[-1] > 0
 
 
+# sha256 of the size list, a newline and the dumped rule file, for
+# engine eqgrow-0.1.0; a change of the engine's semantics changes them.
+GOLDEN_RUNS = [
+    (ArchConfig("list", "compositional", "any", 2, 80, 0, 60),
+     "593f98a91dcb99acd667df95c516d886dadc2c93f232f0b2475cf2b6ea5527f3"),
+    (ArchConfig("arith", "compositional", "novelty", 3, 80, 0, 30),
+     "00e2b67bdb8f6a1136e85e46ec95cd2c4a6a395a95245c4028d0f1a4a1f79188"),
+]
+
+
+@pytest.mark.parametrize("config,digest", GOLDEN_RUNS, ids=["list", "arith"])
+def test_golden_trajectory(config, digest, tmp_path):
+    result = run_discovery(config)
+    path = tmp_path / "run.rules"
+    dump_rules(path, result.rules)
+    got = hashlib.sha256(json.dumps(result.trajectory.sizes).encode()
+                         + b"\n" + path.read_bytes()).hexdigest()
+    assert got == digest
+
+
 @pytest.mark.parametrize("domain,generator,filt", [
     ("arith", "random", "any"),
     ("bool", "compositional", "novelty"),
@@ -226,7 +382,7 @@ def _pattern_vars(term):
     while stack:
         t = stack.pop()
         if t.kind == "var" and t.label[0].isupper():
-            yield t.label
+            yield t
         stack.extend(t.args)
 
 

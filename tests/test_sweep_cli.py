@@ -78,6 +78,25 @@ def test_failed_config_records_error(tmp_path, monkeypatch):
     assert records[0]["domain"] == "bool"
 
 
+def test_failed_config_reruns(tmp_path, monkeypatch):
+    out = tmp_path / "retry.jsonl"
+    plan = SweepPlan(**{**SMALL_PLAN.__dict__, "depths": (2,),
+                        "filters": ("any",)})
+    with monkeypatch.context() as patch:
+        def transient(config):
+            raise RuntimeError("transient")
+        patch.setattr(sweep_mod, "run_discovery", transient)
+        assert "transient" in run_sweep(plan, out)[0]["error"]
+    calls = _count_discoveries(monkeypatch)
+    records = run_sweep(plan, out)
+    assert calls == [plan.configs()[0].key()]
+    assert records == read_sweep_file(out)[-1:]
+    assert records[0]["sizes"] == run_discovery(plan.configs()[0]).trajectory.sizes
+    before = out.read_bytes()
+    assert run_sweep(plan, out) == records
+    assert out.read_bytes() == before and len(calls) == 1
+
+
 def _count_discoveries(monkeypatch, interrupt_at=None):
     """Route sweep.run_discovery through a wrapper that records each config
     and, at call ``interrupt_at``, raises KeyboardInterrupt as a kill would."""
@@ -269,6 +288,17 @@ def test_cli_usage_error_exit_1(capsys):
 
 def test_cli_data_error_exit_2(capsys):
     assert main(["fit", "/nonexistent/series.csv"]) == 2
+
+
+def test_cli_sweep_non_object_line_is_data_error(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    run_sweep(SweepPlan(**{**SMALL_PLAN.__dict__, "depths": (2,)}), out)
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("[1, 2]\n")
+    with pytest.raises(ValueError, match="line 3: not a JSON object"):
+        read_sweep_file(out)
+    assert main(["sweep", "--out", str(out)] + SMALL_PLAN_ARGS) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_cli_sweep_analyze_pipeline(tmp_path, capsys):
