@@ -8,10 +8,26 @@ Five candidate growth laws for cumulative series n(t):
     linear         n = a + b * t
     log_normal     n = a * Phi((ln t - m) / s)
 
-The power law and the line have closed-form least-squares fits; the rest go
-through a damped Gauss-Newton loop with analytic Jacobians and a multi-start
-grid.  All models report residuals, AIC, and BIC in linear space over the
-full series so they are directly comparable.
+All but the line are n = a * g(t; theta), with the scale a entering
+linearly.  They are fitted by variable projection (Golub & Pereyra 1973):
+at every theta the best a is solved in closed form, a* = g.n / g.g, and a
+damped Gauss-Newton loop with the exact Jacobian of a* * g searches theta
+alone from a small multi-start grid.  a > 0 is kept explicitly.  Each
+start has its own MAX_ITER iterations, and a start that spends them is not
+converged.  The power law starts from its closed-form log-log fit; the line
+is fitted in closed form.
+
+stretched_exp keeps tau inside t[0] / TAU_BOX <= tau <= TAU_BOX * t[-1],
+and x = (t/tau)^beta at or above X_MIN at t[0].  On flat data tau otherwise
+crawls toward 0 and spends the budget.  On power-law data it runs off
+toward infinity, where 1 - exp(-x) is cancellation noise: two correct
+evaluations of the formula then disagree far beyond machine precision, so
+the reported rss would not be that of the formula.  X_MIN matters on
+convex series, where beta is large and TAU_BOX alone leaves x near 1e-14.
+A parameter that reaches its bound stays there while the others go on.
+
+All models report residuals, AIC, and BIC in linear space over the full
+series so they are directly comparable.
 """
 
 from __future__ import annotations
@@ -32,6 +48,8 @@ RSS_REL_TOL = 1e-10
 RSS_FLOOR = 1e-12       # keeps AIC finite on interpolating fits
 DEGENERATE_K_MAX = 5.0  # stability filter on the saturating form
 DEGENERATE_MU_MAX = 0.1
+TAU_BOX = 1e4           # stretched_exp keeps t[0] / TAU_BOX <= tau <= TAU_BOX * t[-1]
+X_MIN = 1e-10           # and keeps (t[0] / tau)^beta >= X_MIN
 
 
 class SeriesError(ValueError):
@@ -113,15 +131,6 @@ class FitResult:
 # Model forms
 # ---------------------------------------------------------------------------
 
-def _phi(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF."""
-    return ndtr(z)
-
-
-def _phi_pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
 PARAM_NAMES = {
     "power_law": ("a", "b"),
     "saturating_pl": ("a", "k", "mu"),
@@ -131,168 +140,145 @@ PARAM_NAMES = {
 }
 
 
+def _shape(model: str, theta, t: np.ndarray):
+    """g(t; theta) of a scaled family n = a * g, and dg/dtheta by column.
+    Callers set np.errstate: overflow is caught as a non-finite rss."""
+    if model == "power_law":
+        (b,) = theta
+        g = t ** b
+        return g, (g * np.log(t))[:, None]
+    if model == "saturating_pl":
+        k, mu = theta
+        u = t ** k
+        denom = 1.0 + mu * u
+        g = u / denom
+        return g, np.column_stack([g * np.log(t) / denom, -g * g])
+    if model == "stretched_exp":
+        tau, beta = theta
+        ratio = t / tau
+        x = ratio ** beta
+        e = np.exp(-x)
+        return 1.0 - e, np.column_stack([-e * beta * x / tau,
+                                         e * x * np.log(ratio)])
+    if model == "log_normal":
+        m, s = theta
+        z = (np.log(t) - m) / s
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return ndtr(z), np.column_stack([-pdf / s, -pdf * z / s])
+    raise ValueError(f"unknown model {model!r}")
+
+
+def _theta(model: str, params: dict) -> tuple:
+    return tuple(params[name] for name in PARAM_NAMES[model][1:])
+
+
 def predict(model: str, params: dict, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
+    if model == "linear":
+        return params["a"] + params["b"] * t
     with np.errstate(all="ignore"):
-        if model == "power_law":
-            return params["a"] * t ** params["b"]
-        if model == "saturating_pl":
-            u = t ** params["k"]
-            return params["a"] * u / (1.0 + params["mu"] * u)
-        if model == "stretched_exp":
-            g = (t / params["tau"]) ** params["beta"]
-            return params["a"] * (1.0 - np.exp(-g))
-        if model == "linear":
-            return params["a"] + params["b"] * t
-        if model == "log_normal":
-            z = (np.log(t) - params["m"]) / params["s"]
-            return params["a"] * _phi(z)
-    raise ValueError(f"unknown model {model!r}")
+        return params["a"] * _shape(model, _theta(model, params), t)[0]
 
 
-def _model_eval(model: str, p: np.ndarray, t: np.ndarray):
-    """Prediction and Jacobian together, sharing intermediates."""
-    with np.errstate(all="ignore"):
-        if model == "saturating_pl":
-            a, k, mu = p
-            u = t ** k
-            denom = 1.0 + mu * u
-            pred = a * u / denom
-            dsq = denom * denom
-            jac = np.column_stack([
-                u / denom,
-                a * u * np.log(t) / dsq,
-                -a * u * u / dsq,
-            ])
-            return pred, jac
-        if model == "stretched_exp":
-            a, tau, beta = p
-            ratio = t / tau
-            g = ratio ** beta
-            e = np.exp(-g)
-            pred = a * (1.0 - e)
-            jac = np.column_stack([
-                1.0 - e,
-                -a * e * beta * g / tau,
-                a * e * g * np.log(ratio),
-            ])
-            return pred, jac
-        if model == "log_normal":
-            a, m, s = p
-            z = (np.log(t) - m) / s
-            pdf = _phi_pdf(z)
-            pred = a * _phi(z)
-            jac = np.column_stack([
-                _phi(z),
-                -a * pdf / s,
-                -a * pdf * z / s,
-            ])
-            return pred, jac
-        if model == "power_law":
-            a, b = p
-            u = t ** b
-            return a * u, np.column_stack([u, a * u * np.log(t)])
-    raise ValueError(f"unknown model {model!r}")
+def _project(g: np.ndarray, dg: np.ndarray, n: np.ndarray):
+    """The least-squares scale a* = g.n / g.g of n ~ a * g, and the Jacobian
+    of a* * g with respect to theta, a*'s own dependence on theta included."""
+    gg = g @ g
+    a = (g @ n) / gg
+    da = (dg.T @ n - 2.0 * a * (dg.T @ g)) / gg
+    return a, a * dg + np.outer(g, da)
 
 
-# a > 0; tau, beta, s > 0.  k and mu are unbounded and handled by the
-# degeneracy flags instead.
-_POSITIVE = {
-    "power_law": (True, False),
-    "saturating_pl": (True, False, False),
-    "stretched_exp": (True, True, True),
-    "linear": (False, False),
-    "log_normal": (True, False, True),
-}
+def _feasible(model: str, theta: np.ndarray, a: float) -> bool:
+    """a > 0 in every scaled family, and beta, s > 0.  k and mu are
+    unbounded and handled by the degeneracy flags instead."""
+    return a > 0 and (model not in ("stretched_exp", "log_normal") or theta[1] > 0)
 
 
-def _start_points(model: str, t: np.ndarray, n: np.ndarray,
-                  power_seed: dict | None) -> list[tuple]:
-    n_max = max(float(np.max(n)), 1.0) if len(n) else 1.0
-    t_end = float(t[-1])
-    pos = n > 0
-    t_ref = float(t[pos][0]) if np.any(pos) else float(t[0])
-    n_ref = float(n[pos][0]) if np.any(pos) else 1.0
-    starts: list[tuple] = []
+def _box(model: str, theta: np.ndarray, t: np.ndarray):
+    """Bounds (lo, hi) on theta at its current beta.  stretched_exp keeps
+    tau within TAU_BOX of the time axis, and low enough that
+    x = (t/tau)^beta is at least X_MIN at t[0]; every other shape parameter
+    is unbounded."""
+    if model != "stretched_exp":
+        return -math.inf, math.inf
+    hi = TAU_BOX * t[-1]
+    if theta[1] > 0:
+        hi = min(hi, t[0] * X_MIN ** (-1.0 / theta[1]))
+    return np.array([t[0] / TAU_BOX, -math.inf]), np.array([hi, math.inf])
+
+
+def _start_points(model: str, t: np.ndarray, power_b: float | None) -> list[tuple]:
     if model == "saturating_pl":
-        for k in (0.3, 0.6, 0.9, 1.2, 2.0):
-            for mu in (1e-4, 1e-3, 1e-2, 0.0):
-                a = n_ref * (1.0 + mu * t_ref ** k) / t_ref ** k
-                starts.append((max(a, 1e-9), k, mu))
-        if power_seed is not None:
-            starts.append((max(power_seed["a"], 1e-9), power_seed["b"], 0.0))
-    elif model == "stretched_exp":
-        for tau in (t_end / 10.0, t_end / 3.0, t_end):
-            for beta in (0.5, 1.0, 1.5):
-                starts.append((1.05 * n_max, tau, beta))
-    elif model == "log_normal":
-        m0 = float(np.mean(np.log(t)))
-        for a in (1.05 * n_max, 2.0 * n_max):
-            for s in (0.5, 1.0, 2.0):
-                starts.append((a, m0, s))
-    return starts
+        starts = [(k, mu) for k in (0.3, 0.6, 0.9, 1.2, 2.0)
+                  for mu in (1e-4, 1e-3, 1e-2, 0.0)]
+        return starts + [(power_b, 0.0)]
+    if model == "stretched_exp":
+        t_end = float(t[-1])
+        return [(tau, beta) for tau in (t_end / 10.0, t_end / 3.0, t_end)
+                for beta in (0.5, 1.0, 1.5)]
+    m0 = float(np.mean(np.log(t)))
+    return [(m0, s) for s in (0.5, 1.0, 2.0)]
 
 
-def _gauss_newton(model: str, p0: np.ndarray, t: np.ndarray, n: np.ndarray,
-                  max_iter: int = MAX_ITER):
-    """Damped least squares from one start; returns (params, rss, converged,
-    iterations used)."""
-    positive = _POSITIVE[model]
-    p = np.asarray(p0, dtype=float)
-    pred, jac = _model_eval(model, p, t)
-    resid = n - pred
-    if not np.all(np.isfinite(resid)):
-        return p, math.inf, False, 0
-    rss = float(resid @ resid)
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        if not np.all(np.isfinite(jac)):
-            break
-        grad = jac.T @ resid
-        hess = jac.T @ jac
-        diag = np.diag(hess).copy()
-        diag[diag <= 0] = 1.0
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_new = p + step
-            if any(flag and v <= 0 for flag, v in zip(positive, p_new)):
-                lam *= 10.0
+def _gauss_newton(model: str, theta0, t: np.ndarray, n: np.ndarray):
+    """Damped least squares over theta from one start, with a projected out
+    at every point; returns (theta, a, rss, converged).
+
+    The start has MAX_ITER iterations.  It converges when a step improves
+    rss by less than RSS_REL_TOL relatively, or when no feasible step
+    improves it at all; a start that spends its budget does not.
+    """
+    def evaluate(theta):
+        g, dg = _shape(model, theta, t)
+        a, jac = _project(g, dg, n)
+        resid = n - a * g
+        rss = float(resid @ resid)
+        if not (_feasible(model, theta, a) and math.isfinite(rss)):
+            rss = math.inf
+        return a, resid, jac, rss
+
+    theta = np.asarray(theta0, dtype=float)
+    with np.errstate(all="ignore"):
+        theta = np.clip(theta, *_box(model, theta, t))
+        a, resid, jac, rss = evaluate(theta)
+        if rss == math.inf:
+            return theta, a, rss, False
+        lam = 1e-3
+        for _ in range(MAX_ITER):
+            if not np.all(np.isfinite(jac)):
+                return theta, a, rss, False
+            grad = jac.T @ resid
+            lo, hi = _box(model, theta, t)
+            # a parameter on its bound that descent would push out stays
+            # there: its Jacobian column and its gradient entry go to 0
+            free = ~(((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0)))
+            grad = grad * free
+            jac_free = jac * free
+            hess = jac_free.T @ jac_free
+            diag = np.diag(hess).copy()
+            diag[diag <= 0] = 1.0
+            while True:
                 if lam > 1e12:
+                    return theta, a, rss, True
+                try:
+                    step = np.linalg.solve(hess + lam * np.diag(diag), grad)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                theta_new = theta + step
+                theta_new = np.clip(theta_new, *_box(model, theta_new, t))
+                trial = evaluate(theta_new)
+                if trial[3] < rss:
                     break
-                continue
-            pred_new, jac_new = _model_eval(model, p_new, t)
-            resid_new = n - pred_new
-            with np.errstate(all="ignore"):
-                rss_new = float(resid_new @ resid_new) if np.all(
-                    np.isfinite(resid_new)) else math.inf
-            if rss_new < rss:
-                p, resid, jac = p_new, resid_new, jac_new
-                improvement = (rss - rss_new) / max(rss, RSS_FLOOR)
-                rss = rss_new
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
-                if improvement < RSS_REL_TOL:
-                    converged = True
-                break
-            lam *= 10.0
-            if lam > 1e12:
-                break
-        if not accepted:
-            converged = rss < math.inf
-            break
-        if converged:
-            break
-    else:
-        converged = True
-    return p, rss, converged and math.isfinite(rss), iterations
+                lam *= 10.0
+            improvement = (rss - trial[3]) / max(rss, RSS_FLOOR)
+            theta = theta_new
+            a, resid, jac, rss = trial
+            lam = max(lam / 10.0, 1e-14)
+            if improvement < RSS_REL_TOL:
+                return theta, a, rss, True
+    return theta, a, rss, False
 
 
 # ---------------------------------------------------------------------------
@@ -377,65 +363,54 @@ def _saturating_degenerate(params: dict) -> bool:
 
 def fit_model(model: str, series: GrowthSeries,
               start_override: dict | None = None) -> FitResult:
-    """Fit one model in linear space; nonlinear families multi-start.
+    """Fit one model in linear space; the scaled families multi-start.
 
-    The power law seeds from the closed-form log fit and is then polished
-    in linear space so its residuals are comparable with the other
-    families' (use fit_power_law directly for the log-OLS exponent).
+    The power law starts from the closed-form log fit's exponent and is
+    then polished in linear space so its residuals are comparable with the
+    other families' (use fit_power_law directly for the log-OLS exponent).
+    ``start_override`` gives the one start by name; only theta is read.
     """
+    if model == "linear":
+        return _fit_linear(series)
+    t, n = series.t, series.n
+    names = PARAM_NAMES[model]
+    log_fit = None
     if model == "power_law":
         log_fit = fit_power_law(series)
         if log_fit.degenerate:
             return log_fit
-        start = start_override or log_fit.params
-        p, rss, converged, _ = _gauss_newton(
-            "power_law", np.array([start["a"], start["b"]]), series.t, series.n)
-        if not converged:
-            return log_fit
-        params = {"a": float(p[0]), "b": float(p[1])}
-        rss, r2 = _linear_stats("power_law", params, series)
-        aic, bic = _information(rss, len(series), 2)
-        return FitResult("power_law", params, rss, r2, aic, bic,
-                         converged=True, degenerate=False,
-                         start_point=dict(start), log_r2=log_fit.log_r2,
-                         n_points=len(series))
-    if model == "linear":
-        return _fit_linear(series)
-    names = PARAM_NAMES[model]
-    power_seed = None
-    if model == "saturating_pl" and start_override is None:
-        power_seed = fit_model("power_law", series).params
     if start_override is not None:
-        starts = [tuple(start_override[name] for name in names)]
+        starts = [_theta(model, start_override)]
+    elif model == "power_law":
+        starts = [(log_fit.params["b"],)]
     else:
-        starts = _start_points(model, series.t, series.n, power_seed)
+        power_b = (fit_model("power_law", series).params["b"]
+                   if model == "saturating_pl" else None)
+        starts = _start_points(model, t, power_b)
     best = None
-    budget = MAX_ITER  # iteration budget shared across the multi-start grid
     for start in starts:
-        if budget <= 0:
-            break
-        p, rss, converged, used = _gauss_newton(
-            model, np.array(start, dtype=float), series.t, series.n,
-            max_iter=budget)
-        budget -= used
-        if not converged:
-            continue
-        if best is None or rss < best[1]:
-            best = (p, rss, start)
+        theta, a, rss, converged = _gauss_newton(model, start, t, n)
+        if converged and (best is None or rss < best[2]):
+            best = (theta, a, rss, start)
     if best is None:
-        params = dict(zip(names, starts[0]))
+        if log_fit is not None:
+            return log_fit
+        with np.errstate(all="ignore"):
+            a, _ = _project(*_shape(model, starts[0], t), n)
+        params = dict(zip(names, (float(a), *starts[0])))
         return FitResult(model, params, math.inf, -math.inf, math.inf, math.inf,
                          converged=False, degenerate=True,
-                         start_point=dict(zip(names, starts[0])),
+                         start_point=dict(zip(names[1:], starts[0])),
                          n_points=len(series))
-    p, rss, start = best
-    params = dict(zip(names, (float(v) for v in p)))
+    theta, a, _, start = best
+    params = dict(zip(names, (float(v) for v in (a, *theta))))
     rss, r2 = _linear_stats(model, params, series)
     aic, bic = _information(rss, len(series), len(names))
     degenerate = _saturating_degenerate(params) if model == "saturating_pl" else False
     return FitResult(model, params, rss, r2, aic, bic,
                      converged=True, degenerate=degenerate,
-                     start_point=dict(zip(names, start)), n_points=len(series))
+                     start_point=dict(zip(names[1:], start)),
+                     log_r2=log_fit.log_r2 if log_fit else None, n_points=len(series))
 
 
 def select_model(series: GrowthSeries, models=DEFAULT_MODELS) -> list[FitResult]:
@@ -466,9 +441,9 @@ def bootstrap_ci(model: str, series: GrowthSeries, n_resamples: int = 500,
     """Residual-resampling confidence intervals around a converged base fit.
 
     Residuals of the base fit are resampled with replacement, added back to
-    the fitted curve (clipped below at 0), and refit from the base
-    parameters; the 2.5/97.5 percentiles over converged resamples form the
-    intervals.
+    the fitted curve (clipped below at 0), and refit from the base fit's
+    shape parameters; the 2.5/97.5 percentiles over converged resamples form
+    the intervals.
     """
     base = fit_model(model, series)
     if not base.converged:

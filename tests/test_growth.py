@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from eqgrow import growth
 from eqgrow.growth import (
-    DEFAULT_MODELS, FitResult, GrowthSeries, MODELS, bootstrap_ci, fit_model,
-    fit_power_law, oos_forecast, predict, read_series_csv, select_model,
-    series_from_sizes, write_series_csv,
+    DEFAULT_MODELS, FitResult, GrowthSeries, MODELS, TAU_BOX, X_MIN, bootstrap_ci,
+    fit_csv_row, fit_model, fit_power_law, oos_forecast, predict,
+    read_series_csv, select_model, series_from_sizes, write_series_csv,
 )
 
 T200 = np.arange(1, 201, dtype=float)
@@ -109,6 +111,84 @@ def test_nested_model_dominance():
         power = fit_model("power_law", series)
         saturating = fit_model("saturating_pl", series)
         assert saturating.rss <= power.rss * (1 + 1e-9)
+
+
+def test_exhausted_budget_is_not_converged(monkeypatch):
+    # each start gets MAX_ITER iterations; spending them is not convergence
+    monkeypatch.setattr(growth, "MAX_ITER", 1)
+    series = noisy("saturating_pl", {"a": 5.0, "k": 0.9, "mu": 0.01}, T200, 0)
+    fit = fit_model("saturating_pl", series)
+    assert not fit.converged
+    assert fit.aic == math.inf
+
+
+def test_unconverged_fit_reports_first_start_with_projected_scale(monkeypatch):
+    monkeypatch.setattr(growth, "MAX_ITER", 1)
+    series = noisy("stretched_exp", {"a": 120.0, "tau": 35.0, "beta": 1.4}, T200, 0)
+    fit = fit_model("stretched_exp", series)
+    assert not fit.converged and fit.aic == math.inf
+    assert {k: v for k, v in fit.params.items() if k != "a"} == fit.start_point
+    g = predict("stretched_exp", {**fit.params, "a": 1.0}, T200)
+    assert fit.params["a"] == pytest.approx(g @ series.n / (g @ g), rel=1e-12)
+    row = fit_csv_row(fit)
+    assert all(math.isfinite(v) for v in json.loads(row[1]).values())
+
+
+SHAPES = [
+    ("power_law", {"b": 0.7}, {"b": 1.3}),
+    ("saturating_pl", {"k": 0.9, "mu": 0.01}, {"k": 1.5, "mu": 0.002}),
+    ("stretched_exp", {"tau": 35.0, "beta": 1.4}, {"tau": 300.0, "beta": 0.6}),
+    ("log_normal", {"m": 3.0, "s": 0.8}, {"m": 5.0, "s": 1.7}),
+]
+
+
+@pytest.mark.parametrize("model,theta", [(m, th) for m, *thetas in SHAPES
+                                         for th in thetas])
+def test_projection_matches_lstsq_and_finite_differences(model, theta):
+    n = noisy(model, {"a": 3.0, **theta}, T200, 8, level=0.05).n
+    shape = np.array(list(theta.values()))
+
+    def scaled(values):
+        g, dg = growth._shape(model, values, T200)
+        a, jac = growth._project(g, dg, n)
+        return a, g, jac
+
+    a, g, jac = scaled(shape)
+    (ref,), *_ = np.linalg.lstsq(g[:, None], n, rcond=None)
+    assert a == pytest.approx(ref, rel=1e-10)
+    for j in range(len(shape)):
+        h = 1e-6 * abs(shape[j])
+        up, down = shape.copy(), shape.copy()
+        up[j] += h
+        down[j] -= h
+        a_up, g_up, _ = scaled(up)
+        a_down, g_down, _ = scaled(down)
+        numeric = (a_up * g_up - a_down * g_down) / (2 * h)
+        assert np.allclose(jac[:, j], numeric, rtol=1e-5,
+                           atol=1e-7 * np.max(np.abs(numeric)))
+
+
+@pytest.mark.parametrize("series", [
+    GrowthSeries(T200, predict("power_law", {"a": 2.0, "b": 0.7}, T200)),
+    series_from_sizes([5.0] * 30),
+    series_from_sizes([3, 3, 3] + [4] * 14 + [5, 7, 8, 9, 10, 12, 13, 15, 17,
+                                             19, 19, 23, 26]),
+], ids=["power_law", "flat", "convex"])
+def test_stretched_exp_tau_stays_in_box(series):
+    # unbounded, tau runs to 5e12 on the power law, where 1 - exp(-x) is
+    # cancellation noise and the rss is off by 27%, and below 1e-4 on the
+    # flat series; on the convex series (a 30-epoch list trajectory) beta is
+    # near 2.5, so TAU_BOX alone leaves x(t[0]) near 1e-14 and the rss off
+    # by 1.2e-6 relative
+    fit = fit_model("stretched_exp", series)
+    assert fit.converged
+    a, tau, beta = fit.params["a"], fit.params["tau"], fit.params["beta"]
+    t0 = float(series.t[0])
+    assert t0 / TAU_BOX <= tau <= TAU_BOX * series.t[-1]
+    assert (t0 / tau) ** beta >= X_MIN * (1 - 1e-9)
+    rss = math.fsum((float(n) - a * (1.0 - math.exp(-(float(t) / tau) ** beta))) ** 2
+                    for t, n in zip(series.t, series.n))
+    assert fit.rss == pytest.approx(rss, rel=1e-7, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
