@@ -12,10 +12,14 @@ All but the line are n = a * g(t; theta), with the scale a entering
 linearly.  They are fitted by variable projection (Golub & Pereyra 1973):
 at every theta the best a is solved in closed form, a* = g.n / g.g, and a
 damped Gauss-Newton loop with the exact Jacobian of a* * g searches theta
-alone from a small multi-start grid.  a > 0 is kept explicitly.  Each
-start has its own MAX_ITER iterations, and a start that spends them is not
-converged.  The power law starts from its closed-form log-log fit; the line
-is fitted in closed form.
+alone, which has at most two entries.  a > 0 is kept explicitly.  The loop
+runs on a stack of rows at once: all the starts of one fit's multi-start
+grid, or all the resamples of a bootstrap.  Each row keeps its own
+Levenberg-Marquardt damping and its own budget of MAX_ITER accepted steps,
+and a row that spends them is not converged; the 1x1 or 2x2 damped system
+of each row is solved in closed form, and a pass evaluates only the rows
+still running.  The power law starts from its closed-form log-log fit; the
+line is fitted in closed form.
 
 stretched_exp keeps tau inside t[0] / TAU_BOX <= tau <= TAU_BOX * t[-1],
 and x = (t/tau)^beta at or above X_MIN at t[0].  On flat data tau otherwise
@@ -25,6 +29,9 @@ evaluations of the formula then disagree far beyond machine precision, so
 the reported rss would not be that of the formula.  X_MIN matters on
 convex series, where beta is large and TAU_BOX alone leaves x near 1e-14.
 A parameter that reaches its bound stays there while the others go on.
+A log_normal fit whose whole series lies in the CDF's far left tail
+(Phi < X_MIN at t[-1]) is flagged degenerate: a, m and s are not
+identified there.
 
 All models report residuals, AIC, and BIC in linear space over the full
 series so they are directly comparable.
@@ -140,31 +147,32 @@ PARAM_NAMES = {
 }
 
 
-def _shape(model: str, theta, t: np.ndarray):
-    """g(t; theta) of a scaled family n = a * g, and dg/dtheta by column.
-    Callers set np.errstate: overflow is caught as a non-finite rss."""
+def _shape(model: str, theta: np.ndarray, t: np.ndarray):
+    """g(t; theta) of a scaled family n = a * g for each row of theta (S, p),
+    as an (S, T) array, and dg/dtheta as a tuple of p such arrays.  Callers
+    set np.errstate: overflow is caught as a non-finite rss."""
+    cols = [theta[:, j, None] for j in range(theta.shape[1])]
     if model == "power_law":
-        (b,) = theta
+        (b,) = cols
         g = t ** b
-        return g, (g * np.log(t))[:, None]
+        return g, (g * np.log(t),)
     if model == "saturating_pl":
-        k, mu = theta
+        k, mu = cols
         u = t ** k
         denom = 1.0 + mu * u
         g = u / denom
-        return g, np.column_stack([g * np.log(t) / denom, -g * g])
+        return g, (g * np.log(t) / denom, -g * g)
     if model == "stretched_exp":
-        tau, beta = theta
+        tau, beta = cols
         ratio = t / tau
         x = ratio ** beta
         e = np.exp(-x)
-        return 1.0 - e, np.column_stack([-e * beta * x / tau,
-                                         e * x * np.log(ratio)])
+        return 1.0 - e, (-e * beta * x / tau, e * x * np.log(ratio))
     if model == "log_normal":
-        m, s = theta
+        m, s = cols
         z = (np.log(t) - m) / s
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return ndtr(z), np.column_stack([-pdf / s, -pdf * z / s])
+        return ndtr(z), (-pdf / s, -pdf * z / s)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -177,35 +185,55 @@ def predict(model: str, params: dict, t: np.ndarray) -> np.ndarray:
     if model == "linear":
         return params["a"] + params["b"] * t
     with np.errstate(all="ignore"):
-        return params["a"] * _shape(model, _theta(model, params), t)[0]
+        return params["a"] * _shape(model, np.array([_theta(model, params)]), t)[0][0]
 
 
-def _project(g: np.ndarray, dg: np.ndarray, n: np.ndarray):
-    """The least-squares scale a* = g.n / g.g of n ~ a * g, and the Jacobian
-    of a* * g with respect to theta, a*'s own dependence on theta included."""
-    gg = g @ g
-    a = (g @ n) / gg
-    da = (dg.T @ n - 2.0 * a * (dg.T @ g)) / gg
-    return a, a * dg + np.outer(g, da)
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis; each row is summed on its
+    own, so its value does not depend on the other rows of the stack."""
+    return np.add.reduce(x * y, axis=-1)
 
 
-def _feasible(model: str, theta: np.ndarray, a: float) -> bool:
-    """a > 0 in every scaled family, and beta, s > 0.  k and mu are
+def _project(g: np.ndarray, dg: tuple, n: np.ndarray):
+    """Per row, the least-squares scale a* = g.n / g.g of n ~ a * g, and the
+    Jacobian of a* * g with respect to each theta, a*'s own dependence on
+    theta included.  Each Jacobian column is built in the memory of its dg
+    column, which it replaces."""
+    gg = _dot(g, g)
+    a = _dot(g, n) / gg
+    for d in dg:
+        da = (_dot(d, n) - 2.0 * a * _dot(d, g)) / gg
+        d *= a[:, None]
+        d += g * da[:, None]
+    return a, dg
+
+
+def _feasible(model: str, theta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per row: a > 0 in every scaled family, and beta, s > 0.  k and mu are
     unbounded and handled by the degeneracy flags instead."""
-    return a > 0 and (model not in ("stretched_exp", "log_normal") or theta[1] > 0)
+    if model in ("stretched_exp", "log_normal"):
+        return (a > 0) & (theta[:, 1] > 0)
+    return a > 0
 
 
 def _box(model: str, theta: np.ndarray, t: np.ndarray):
-    """Bounds (lo, hi) on theta at its current beta.  stretched_exp keeps
-    tau within TAU_BOX of the time axis, and low enough that
-    x = (t/tau)^beta is at least X_MIN at t[0]; every other shape parameter
-    is unbounded."""
+    """Per-row bounds (lo, hi) on theta at its current beta, or None when
+    the family is unbounded.  stretched_exp keeps tau within TAU_BOX of the
+    time axis, and low enough that x = (t/tau)^beta is at least X_MIN at
+    t[0]; every other shape parameter is unbounded."""
     if model != "stretched_exp":
-        return -math.inf, math.inf
-    hi = TAU_BOX * t[-1]
-    if theta[1] > 0:
-        hi = min(hi, t[0] * X_MIN ** (-1.0 / theta[1]))
-    return np.array([t[0] / TAU_BOX, -math.inf]), np.array([hi, math.inf])
+        return None
+    beta = theta[:, 1]
+    hi = np.empty_like(theta)
+    hi[:, 0] = np.minimum(TAU_BOX * t[-1],
+                          np.where(beta > 0, t[0] * X_MIN ** (-1.0 / beta), math.inf))
+    hi[:, 1] = math.inf
+    return np.array([t[0] / TAU_BOX, -math.inf]), hi
+
+
+def _clip(model: str, theta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    box = _box(model, theta, t)
+    return theta if box is None else np.clip(theta, *box)
 
 
 def _start_points(model: str, t: np.ndarray, power_b: float | None) -> list[tuple]:
@@ -221,64 +249,110 @@ def _start_points(model: str, t: np.ndarray, power_b: float | None) -> list[tupl
     return [(m0, s) for s in (0.5, 1.0, 2.0)]
 
 
+def _evaluate(model: str, theta: np.ndarray, t: np.ndarray, n: np.ndarray):
+    """Per row at theta: a*, the rss (inf where the row is infeasible or not
+    finite), whether the Jacobian of a* * g is finite, and the normal
+    equations.  No (S, T) array outlives the call."""
+    g, dg = _shape(model, theta, t)
+    a, jac = _project(g, dg, n)
+    resid = n - a[:, None] * g
+    rss = _dot(resid, resid)
+    rss[~(_feasible(model, theta, a) & np.isfinite(rss))] = math.inf
+    finite = np.all([np.isfinite(j).all(axis=1) for j in jac], axis=0)
+    return a, rss, finite, _normal_equations(model, theta, t, resid, jac)
+
+
+def _normal_equations(model: str, theta, t, resid, jac):
+    """Per row: the gradient J'r, the Gauss-Newton matrix J'J, and the
+    damping diagonal.  A parameter on its bound that descent would push out
+    stays there: its Jacobian column and its gradient entry go to 0."""
+    p = len(jac)
+    grad = np.empty((len(theta), p))
+    hess = np.empty((len(theta), p, p))
+    for i in range(p):
+        grad[:, i] = _dot(jac[i], resid)
+        for j in range(i, p):
+            hess[:, i, j] = hess[:, j, i] = _dot(jac[i], jac[j])
+    box = _box(model, theta, t)
+    if box is not None:
+        lo, hi = box
+        free = ~(((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0)))
+        grad *= free
+        hess = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    diag = np.diagonal(hess, axis1=1, axis2=2).copy()
+    diag[diag <= 0] = 1.0
+    return grad, hess, diag
+
+
+def _damped_step(grad, hess, diag, lam):
+    """Per row, the solution of (J'J + lam * diag) step = J'r by Cramer's
+    rule, and whether the system was solvable (a nonzero determinant)."""
+    if grad.shape[1] == 1:
+        m = hess[:, 0, 0] + lam * diag[:, 0]
+        return grad / m[:, None], m != 0
+    m00 = hess[:, 0, 0] + lam * diag[:, 0]
+    m11 = hess[:, 1, 1] + lam * diag[:, 1]
+    m01 = hess[:, 0, 1]
+    g0, g1 = grad[:, 0], grad[:, 1]
+    det = m00 * m11 - m01 * m01
+    step = np.empty_like(grad)
+    step[:, 0] = (g0 * m11 - m01 * g1) / det
+    step[:, 1] = (m00 * g1 - m01 * g0) / det
+    return step, det != 0
+
+
 def _gauss_newton(model: str, theta0, t: np.ndarray, n: np.ndarray):
-    """Damped least squares over theta from one start, with a projected out
-    at every point; returns (theta, a, rss, converged).
+    """Damped least squares over theta for a stack of rows, with a projected
+    out at every point.  Row i starts from theta0[i] (theta0 is (S, p)) and
+    fits n, or n[i] when n is (S, T).  Returns theta (S, p), a, rss and
+    converged, one value per row.
 
-    The start has MAX_ITER iterations.  It converges when a step improves
-    rss by less than RSS_REL_TOL relatively, or when no feasible step
-    improves it at all; a start that spends its budget does not.
+    Each row runs its own Levenberg-Marquardt schedule on lambda and has
+    MAX_ITER accepted steps.  It converges when a step improves its rss by
+    less than RSS_REL_TOL relatively, or when no feasible step improves it
+    at all (lambda passes 1e12); a row that spends its budget, or whose
+    Jacobian is not finite, does not.  Each pass solves and evaluates only
+    the rows still running: a finished row leaves the working arrays.
     """
-    def evaluate(theta):
-        g, dg = _shape(model, theta, t)
-        a, jac = _project(g, dg, n)
-        resid = n - a * g
-        rss = float(resid @ resid)
-        if not (_feasible(model, theta, a) and math.isfinite(rss)):
-            rss = math.inf
-        return a, resid, jac, rss
-
-    theta = np.asarray(theta0, dtype=float)
+    budget = MAX_ITER
     with np.errstate(all="ignore"):
-        theta = np.clip(theta, *_box(model, theta, t))
-        a, resid, jac, rss = evaluate(theta)
-        if rss == math.inf:
-            return theta, a, rss, False
-        lam = 1e-3
-        for _ in range(MAX_ITER):
-            if not np.all(np.isfinite(jac)):
-                return theta, a, rss, False
-            grad = jac.T @ resid
-            lo, hi = _box(model, theta, t)
-            # a parameter on its bound that descent would push out stays
-            # there: its Jacobian column and its gradient entry go to 0
-            free = ~(((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0)))
-            grad = grad * free
-            jac_free = jac * free
-            hess = jac_free.T @ jac_free
-            diag = np.diag(hess).copy()
-            diag[diag <= 0] = 1.0
-            while True:
-                if lam > 1e12:
-                    return theta, a, rss, True
-                try:
-                    step = np.linalg.solve(hess + lam * np.diag(diag), grad)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                theta_new = theta + step
-                theta_new = np.clip(theta_new, *_box(model, theta_new, t))
-                trial = evaluate(theta_new)
-                if trial[3] < rss:
-                    break
-                lam *= 10.0
-            improvement = (rss - trial[3]) / max(rss, RSS_FLOOR)
-            theta = theta_new
-            a, resid, jac, rss = trial
-            lam = max(lam / 10.0, 1e-14)
-            if improvement < RSS_REL_TOL:
-                return theta, a, rss, True
-    return theta, a, rss, False
+        theta = _clip(model, np.array(theta0, dtype=float), t)
+        a, rss, finite, (grad, hess, diag) = _evaluate(model, theta, t, n)
+        converged = np.zeros(len(theta), dtype=bool)
+        # the running rows (suffix _r): their index into the stack and state
+        ids = np.flatnonzero(np.isfinite(rss) & finite & (budget > 0))
+        theta_r, a_r, rss_r = theta[ids], a[ids], rss[ids]
+        grad, hess, diag = grad[ids], hess[ids], diag[ids]
+        data = n[ids] if n.ndim == 2 and len(ids) < len(n) else n
+        lam = np.full(len(ids), 1e-3)
+        steps = np.zeros(len(ids), dtype=int)
+        while len(ids):
+            step, solvable = _damped_step(grad, hess, diag, lam)
+            theta_new = _clip(model, theta_r + step, t)
+            a_new, rss_new, finite, equations = _evaluate(model, theta_new, t, data)
+            # a singular system or a step that does not lower the rss
+            # raises lambda; past 1e12 no step improves, so the row is done
+            better = solvable & (rss_new < rss_r)
+            improvement = (rss_r - rss_new) / np.maximum(rss_r, RSS_FLOOR)
+            theta_r[better] = theta_new[better]
+            a_r[better] = a_new[better]
+            rss_r[better] = rss_new[better]
+            grad[better], hess[better], diag[better] = (x[better] for x in equations)
+            lam = np.where(better, np.maximum(lam / 10.0, 1e-14), lam * 10.0)
+            steps += better
+            done = np.where(better, improvement < RSS_REL_TOL, lam > 1e12)
+            stop = done | (better & ((steps >= budget) | ~finite))
+            if stop.any():
+                finished = ids[stop]
+                theta[finished], a[finished], rss[finished] = theta_r[stop], a_r[stop], rss_r[stop]
+                converged[finished] = done[stop]
+                keep = ~stop
+                ids, theta_r, a_r, rss_r = ids[keep], theta_r[keep], a_r[keep], rss_r[keep]
+                grad, hess, diag = grad[keep], hess[keep], diag[keep]
+                lam, steps = lam[keep], steps[keep]
+                if n.ndim == 2:
+                    data = data[keep]
+    return theta, a, rss, converged
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +435,24 @@ def _saturating_degenerate(params: dict) -> bool:
             or abs(params["mu"]) > DEGENERATE_MU_MAX)
 
 
+def _log_normal_degenerate(params: dict, t: np.ndarray) -> bool:
+    """The whole series lies in the CDF's far left tail, where a, m and s
+    are not identified (the fit runs off to a ~ 1e161 on power-law data)."""
+    return ndtr((math.log(t[-1]) - params["m"]) / params["s"]) < X_MIN
+
+
 def fit_model(model: str, series: GrowthSeries,
-              start_override: dict | None = None) -> FitResult:
-    """Fit one model in linear space; the scaled families multi-start.
+              start_override: dict | None = None, *,
+              _power_b: float | None = None) -> FitResult:
+    """Fit one model in linear space; the scaled families multi-start, all
+    starts in one batched solve.
 
     The power law starts from the closed-form log fit's exponent and is
     then polished in linear space so its residuals are comparable with the
     other families' (use fit_power_law directly for the log-OLS exponent).
     ``start_override`` gives the one start by name; only theta is read.
+    ``_power_b`` is select_model's own polished power-law exponent, which
+    seeds saturating_pl's (b, 0) start instead of a second power-law fit.
     """
     if model == "linear":
         return _fit_linear(series)
@@ -384,41 +468,48 @@ def fit_model(model: str, series: GrowthSeries,
     elif model == "power_law":
         starts = [(log_fit.params["b"],)]
     else:
-        power_b = (fit_model("power_law", series).params["b"]
-                   if model == "saturating_pl" else None)
-        starts = _start_points(model, t, power_b)
-    best = None
-    for start in starts:
-        theta, a, rss, converged = _gauss_newton(model, start, t, n)
-        if converged and (best is None or rss < best[2]):
-            best = (theta, a, rss, start)
-    if best is None:
+        if model == "saturating_pl" and _power_b is None:
+            _power_b = fit_model("power_law", series).params["b"]
+        starts = _start_points(model, t, _power_b)
+    theta, a, rss, converged = _gauss_newton(model, starts, t, n)
+    if not converged.any():
         if log_fit is not None:
             return log_fit
         with np.errstate(all="ignore"):
-            a, _ = _project(*_shape(model, starts[0], t), n)
-        params = dict(zip(names, (float(a), *starts[0])))
+            a0, _ = _project(*_shape(model, np.array(starts[:1], dtype=float), t), n)
+        params = dict(zip(names, (float(a0[0]), *starts[0])))
         return FitResult(model, params, math.inf, -math.inf, math.inf, math.inf,
                          converged=False, degenerate=True,
                          start_point=dict(zip(names[1:], starts[0])),
                          n_points=len(series))
-    theta, a, _, start = best
-    params = dict(zip(names, (float(v) for v in (a, *theta))))
+    best = int(np.argmin(np.where(converged, rss, math.inf)))
+    params = dict(zip(names, (float(v) for v in (a[best], *theta[best]))))
     rss, r2 = _linear_stats(model, params, series)
     aic, bic = _information(rss, len(series), len(names))
-    degenerate = _saturating_degenerate(params) if model == "saturating_pl" else False
+    degenerate = (_saturating_degenerate(params) if model == "saturating_pl"
+                  else _log_normal_degenerate(params, t) if model == "log_normal"
+                  else False)
     return FitResult(model, params, rss, r2, aic, bic,
                      converged=True, degenerate=degenerate,
-                     start_point=dict(zip(names[1:], start)),
+                     start_point=dict(zip(names[1:], starts[best])),
                      log_r2=log_fit.log_r2 if log_fit else None, n_points=len(series))
 
 
 def select_model(series: GrowthSeries, models=DEFAULT_MODELS) -> list[FitResult]:
     """Fit each model and rank: non-degenerate converged fits by AIC, then
-    degenerate fits by AIC, then non-converged fits."""
+    degenerate fits by AIC, then non-converged fits.  The power-law fit
+    also seeds saturating_pl's (b, 0) start."""
     if len(models) < 2:
         raise ValueError("select_model needs at least 2 candidate models")
-    fits = [fit_model(m, series) for m in models]
+    power = fit_model("power_law", series) if "power_law" in models else None
+    fits = []
+    for m in models:
+        if m == "power_law":
+            fits.append(power)
+        elif m == "saturating_pl" and power is not None:
+            fits.append(fit_model(m, series, _power_b=power.params["b"]))
+        else:
+            fits.append(fit_model(m, series))
     fits.sort(key=lambda f: ((2 if not f.converged else (1 if f.degenerate else 0)),
                              f.aic))
     return fits
@@ -448,31 +539,40 @@ def bootstrap_ci(model: str, series: GrowthSeries, n_resamples: int = 500,
     base = fit_model(model, series)
     if not base.converged:
         raise ValueError(f"{model}: base fit did not converge")
-    fitted = base.predict(series.t)
+    t = series.t
+    fitted = base.predict(t)
     resid = series.n - fitted
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     names = PARAM_NAMES[model]
-    draws: list[list[float]] = []
-    failed = 0
-    for _ in range(n_resamples):
-        idx = rng.integers(0, len(series), size=len(series))
-        synthetic = np.clip(fitted + resid[idx], 0.0, None)
-        try:
-            boot_series = GrowthSeries(series.t, synthetic)
-            refit = fit_model(model, boot_series, start_override=base.params)
-        except (ValueError, FloatingPointError):
-            failed += 1
-            continue
-        if not refit.converged:
-            failed += 1
-            continue
-        draws.append([refit.params[name] for name in names])
-    fraction_failed = failed / n_resamples if n_resamples else 0.0
+    # one draw per resample, in order, as a per-resample loop would make
+    synthetic = resid[np.array([rng.integers(0, len(t), size=len(t))
+                                for _ in range(n_resamples)],
+                               dtype=np.intp).reshape(n_resamples, len(t))]
+    synthetic += fitted
+    np.clip(synthetic, 0.0, None, out=synthetic)
+    if model == "linear":
+        fits = [_fit_linear(GrowthSeries(t, row)) for row in synthetic]
+        values = np.array([[fit.params[name] for name in names] for fit in fits],
+                          dtype=float).reshape(n_resamples, len(names))
+        converged = np.ones(n_resamples, dtype=bool)
+    else:
+        theta0 = np.repeat([_theta(model, base.params)], n_resamples, axis=0)
+        theta, a, _, converged = _gauss_newton(model, theta0, t, synthetic)
+        values = np.column_stack([a, theta])
+        if model == "power_law":
+            # as in fit_model: the log-OLS fit stands in for a degenerate
+            # series or an unconverged polish
+            for r, row in enumerate(synthetic):
+                log_fit = fit_power_law(GrowthSeries(t, row))
+                if log_fit.degenerate or not converged[r]:
+                    values[r] = [log_fit.params[name] for name in names]
+                    converged[r] = True
+    draws = values[converged]
+    fraction_failed = (n_resamples - len(draws)) / n_resamples if n_resamples else 0.0
     intervals = {}
-    if draws:
-        arr = np.array(draws)
-        lo = np.percentile(arr, 2.5, axis=0)
-        hi = np.percentile(arr, 97.5, axis=0)
+    if len(draws):
+        lo = np.percentile(draws, 2.5, axis=0)
+        hi = np.percentile(draws, 97.5, axis=0)
         for i, name in enumerate(names):
             intervals[name] = (float(lo[i]), float(hi[i]), base.params[name])
     else:

@@ -6,12 +6,20 @@ import pytest
 
 from eqgrow import growth
 from eqgrow.growth import (
-    DEFAULT_MODELS, FitResult, GrowthSeries, MODELS, TAU_BOX, X_MIN, bootstrap_ci,
-    fit_csv_row, fit_model, fit_power_law, oos_forecast, predict,
+    DEFAULT_MODELS, FitResult, GrowthSeries, MODELS, PARAM_NAMES, TAU_BOX, X_MIN,
+    bootstrap_ci, fit_csv_row, fit_model, fit_power_law, oos_forecast, predict,
     read_series_csv, select_model, series_from_sizes, write_series_csv,
 )
 
 T200 = np.arange(1, 201, dtype=float)
+
+FAMILY_PARAMS = {
+    "power_law": {"a": 2.0, "b": 0.7},
+    "saturating_pl": {"a": 5.0, "k": 0.9, "mu": 0.01},
+    "stretched_exp": {"a": 120.0, "tau": 35.0, "beta": 1.4},
+    "linear": {"a": 30.0, "b": 2.0},
+    "log_normal": {"a": 900.0, "m": 3.0, "s": 0.8},
+}
 
 
 def noisy(model, params, t, seed, level=0.01):
@@ -149,9 +157,10 @@ def test_projection_matches_lstsq_and_finite_differences(model, theta):
     shape = np.array(list(theta.values()))
 
     def scaled(values):
-        g, dg = growth._shape(model, values, T200)
+        # one row of the stacked form
+        g, dg = growth._shape(model, values[None], T200)
         a, jac = growth._project(g, dg, n)
-        return a, g, jac
+        return a[0], g[0], [column[0] for column in jac]
 
     a, g, jac = scaled(shape)
     (ref,), *_ = np.linalg.lstsq(g[:, None], n, rcond=None)
@@ -164,7 +173,7 @@ def test_projection_matches_lstsq_and_finite_differences(model, theta):
         a_up, g_up, _ = scaled(up)
         a_down, g_down, _ = scaled(down)
         numeric = (a_up * g_up - a_down * g_down) / (2 * h)
-        assert np.allclose(jac[:, j], numeric, rtol=1e-5,
+        assert np.allclose(jac[j], numeric, rtol=1e-5,
                            atol=1e-7 * np.max(np.abs(numeric)))
 
 
@@ -189,6 +198,123 @@ def test_stretched_exp_tau_stays_in_box(series):
     rss = math.fsum((float(n) - a * (1.0 - math.exp(-(float(t) / tau) ** beta))) ** 2
                     for t, n in zip(series.t, series.n))
     assert fit.rss == pytest.approx(rss, rel=1e-7, abs=0.0)
+
+
+def test_log_normal_far_tail_flagged_degenerate():
+    # on a power law the fit runs into the CDF's far left tail (a ~ 1e161),
+    # where a, m and s are not identified
+    for family, degenerate in (("power_law", True), ("log_normal", False)):
+        clean = GrowthSeries(T200, predict(family, FAMILY_PARAMS[family], T200))
+        fit = fit_model("log_normal", clean)
+        assert fit.converged and fit.degenerate == degenerate, fit.params
+
+
+# ---------------------------------------------------------------------------
+# batched solver against the per-start loop it replaced
+# ---------------------------------------------------------------------------
+
+def scalar_gauss_newton(model, theta0, t, n):
+    """The per-start damped Gauss-Newton loop, kept as the batched solver's
+    reference: one start at a time, with np.linalg.solve and BLAS dots."""
+    def evaluate(theta):
+        g, dg = growth._shape(model, theta[None], t)
+        g, dg = g[0], np.column_stack([d[0] for d in dg])
+        gg = g @ g
+        a = (g @ n) / gg
+        da = (dg.T @ n - 2.0 * a * (dg.T @ g)) / gg
+        jac = a * dg + np.outer(g, da)
+        resid = n - a * g
+        rss = float(resid @ resid)
+        if not (growth._feasible(model, theta[None], np.array([a]))[0]
+                and math.isfinite(rss)):
+            rss = math.inf
+        return a, resid, jac, rss
+
+    def box(theta):
+        bounds = growth._box(model, theta[None], t)
+        return (-math.inf, math.inf) if bounds is None else (bounds[0], bounds[1][0])
+
+    theta = np.asarray(theta0, dtype=float)
+    with np.errstate(all="ignore"):
+        theta = np.clip(theta, *box(theta))
+        a, resid, jac, rss = evaluate(theta)
+        if rss == math.inf:
+            return theta, a, rss, False
+        lam = 1e-3
+        for _ in range(growth.MAX_ITER):
+            if not np.all(np.isfinite(jac)):
+                return theta, a, rss, False
+            grad = jac.T @ resid
+            lo, hi = box(theta)
+            free = ~(((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0)))
+            grad = grad * free
+            jac_free = jac * free
+            hess = jac_free.T @ jac_free
+            diag = np.diag(hess).copy()
+            diag[diag <= 0] = 1.0
+            while True:
+                if lam > 1e12:
+                    return theta, a, rss, True
+                try:
+                    step = np.linalg.solve(hess + lam * np.diag(diag), grad)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                theta_new = theta + step
+                theta_new = np.clip(theta_new, *box(theta_new))
+                trial = evaluate(theta_new)
+                if trial[3] < rss:
+                    break
+                lam *= 10.0
+            improvement = (rss - trial[3]) / max(rss, growth.RSS_FLOOR)
+            theta = theta_new
+            a, resid, jac, rss = trial
+            lam = max(lam / 10.0, 1e-14)
+            if improvement < growth.RSS_REL_TOL:
+                return theta, a, rss, True
+    return theta, a, rss, False
+
+
+def looped_gauss_newton(model, theta0, t, n):
+    """scalar_gauss_newton row by row, behind the batched solver's signature."""
+    rows = [scalar_gauss_newton(model, theta, t, n[i] if n.ndim == 2 else n)
+            for i, theta in enumerate(np.asarray(theta0, dtype=float))]
+    theta, a, rss, converged = zip(*rows)
+    return np.array(theta), np.array(a), np.array(rss), np.array(converged)
+
+
+def _degenerate(model, params, t):
+    if model == "saturating_pl":
+        return growth._saturating_degenerate(params)
+    if model == "log_normal":
+        return growth._log_normal_degenerate(params, t)
+    return False
+
+
+@pytest.mark.parametrize("length", [30, 60, 200])
+@pytest.mark.parametrize("family", MODELS)
+def test_batched_solver_matches_scalar_reference(family, length, monkeypatch):
+    t = np.arange(1, length + 1, dtype=float)
+    series = noisy(family, FAMILY_PARAMS[family], t, seed=length)
+    power_b = fit_model("power_law", series).params["b"]
+    for model in ("power_law", "saturating_pl", "stretched_exp", "log_normal"):
+        # every start of the family's grid; saturating_pl's last one is the
+        # (b, 0) seed from the polished power law
+        starts = np.array([(fit_power_law(series).params["b"],)] if model == "power_law"
+                          else growth._start_points(model, t, power_b), dtype=float)
+        theta, a, rss, converged = growth._gauss_newton(model, starts, t, series.n)
+        _, _, ref_rss, ref_converged = looped_gauss_newton(model, starts, t, series.n)
+        assert converged.tolist() == ref_converged.tolist(), model
+        if not converged.any():
+            continue
+        best = int(np.argmin(np.where(converged, rss, math.inf)))
+        params = dict(zip(PARAM_NAMES[model], (a[best], *theta[best])))
+        if not _degenerate(model, params, t):
+            ref_best = np.min(np.where(ref_converged, ref_rss, math.inf))
+            assert rss[best] == pytest.approx(ref_best, rel=1e-6), model
+    winner = select_model(series, MODELS)[0].model
+    monkeypatch.setattr(growth, "_gauss_newton", looped_gauss_newton)
+    assert select_model(series, MODELS)[0].model == winner
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +359,23 @@ def test_select_monthly_commit_style_series():
     assert wins >= 7
 
 
+def test_select_fits_power_law_once(monkeypatch):
+    series = noisy("saturating_pl", FAMILY_PARAMS["saturating_pl"], T200, 1)
+    alone = fit_model("saturating_pl", series)
+    calls = []
+    original = growth.fit_model
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(growth, "fit_model", counting)
+    ranked = select_model(series, DEFAULT_MODELS)
+    assert sorted(calls) == sorted(DEFAULT_MODELS)
+    # the reused exponent seeds the same (b, 0) start as a fit of its own
+    assert next(f for f in ranked if f.model == "saturating_pl").params == alone.params
+
+
 def test_nonconverged_ranks_last():
     series = GrowthSeries(T200, T200)
     ranked = select_model(series, MODELS)
@@ -270,6 +413,53 @@ def test_bootstrap_negative_mu_marks_degenerate():
                           n_resamples=30, seed=0)
     assert result.intervals["mu"][2] < 0
     assert result.degenerate
+
+
+def per_resample_bootstrap(model, series, n_resamples, seed):
+    """bootstrap_ci as one fit_model refit per resample: the reference for
+    the batched refits."""
+    base = fit_model(model, series)
+    fitted = base.predict(series.t)
+    resid = series.n - fitted
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    draws, failed = [], 0
+    for _ in range(n_resamples):
+        idx = rng.integers(0, len(series), size=len(series))
+        refit = fit_model(model, GrowthSeries(series.t, np.clip(fitted + resid[idx], 0.0, None)),
+                          start_override=base.params)
+        if refit.converged:
+            draws.append([refit.params[name] for name in PARAM_NAMES[model]])
+        else:
+            failed += 1
+    return (np.percentile(draws, 2.5, axis=0), np.percentile(draws, 97.5, axis=0),
+            failed / n_resamples)
+
+
+TAIL_ZEROS = GrowthSeries(np.arange(1, 21, dtype=float), np.concatenate(
+    [np.linspace(0.05, 0.6, 14), [0.9, 1.1, 0.95, 1.3, 1.05, 1.6]]))
+
+
+@pytest.mark.parametrize("model,series,max_iter", [
+    ("saturating_pl", noisy("saturating_pl", FAMILY_PARAMS["saturating_pl"], T200, 5, 0.02), 500),
+    # three steps leave about 40% of the refits unconverged
+    ("saturating_pl", noisy("saturating_pl", FAMILY_PARAMS["saturating_pl"], T200, 5, 0.02), 3),
+    ("power_law", noisy("power_law", FAMILY_PARAMS["power_law"], T200, 5, 0.02), 500),
+    # one step leaves the polish unconverged, so the log-OLS fit stands in
+    ("power_law", noisy("power_law", FAMILY_PARAMS["power_law"], T200, 5, 0.02), 1),
+    # a few resamples keep fewer than 4 points >= 1: degenerate log fits
+    ("power_law", TAIL_ZEROS, 500),
+], ids=["saturating_pl", "saturating_pl-3-steps", "power_law", "power_law-1-step",
+        "power_law-degenerate-rows"])
+def test_bootstrap_matches_per_resample_refits(model, series, max_iter, monkeypatch):
+    monkeypatch.setattr(growth, "MAX_ITER", max_iter)
+    result = bootstrap_ci(model, series, n_resamples=100, seed=1)
+    lo, hi, fraction_failed = per_resample_bootstrap(model, series, 100, 1)
+    assert result.fraction_failed == pytest.approx(fraction_failed, rel=1e-9)
+    for i, name in enumerate(PARAM_NAMES[model]):
+        assert result.intervals[name][0] == pytest.approx(lo[i], rel=1e-9)
+        assert result.intervals[name][1] == pytest.approx(hi[i], rel=1e-9)
+    if max_iter == 3:
+        assert 0.2 < result.fraction_failed < 0.6
 
 
 # ---------------------------------------------------------------------------
