@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -177,6 +178,9 @@ def _cmd_sweep(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides.update(json.load(fh))
+        unknown = sorted(set(overrides) - {f.name for f in fields(plan)})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown plan keys {unknown}")
     for name in ("domains", "generators", "filters", "depths", "batch_sizes",
                  "seeds"):
         value = getattr(args, name)
@@ -186,11 +190,9 @@ def _cmd_sweep(args) -> int:
         overrides["epochs"] = args.epochs
     if args.workers is not None:
         overrides["workers"] = args.workers
-    for key, value in overrides.items():
-        if key in ("epochs", "workers"):
-            setattr(plan, key, value)
-        else:
-            setattr(plan, key, tuple(value))
+    plan = replace(plan, **{key: value if key in ("epochs", "workers")
+                            else tuple(value)
+                            for key, value in overrides.items()})
     done = {"count": 0}
 
     def progress(i, total):
@@ -323,7 +325,7 @@ def _cmd_mu(args) -> int:
     depth = args.depth
     if depth is None:
         depth = 2 if args.domain == "list" else 3
-    report = estimate_mu(rules, spec, depth,
+    report = estimate_mu([r.lhs for r in rules], spec, depth,
                          subterm_positions=args.subterm_positions)
     print(f"mu_hat = {report.mu_hat:.6g} over {len(rules)} rules at depth "
           f"{depth} (space {report.space_size})")

@@ -7,9 +7,14 @@ The growth rate of a rule substrate of size S is modeled as
 where K is generator throughput, k the recombination exponent, and
 ``coverage`` the expected fraction of the typed candidate space a committed
 rule rewrites.  With coverage = 0 the ODE integrates to the pure power law
-S(t) = ((1-k) K t)^(1/(1-k)).  Coverage itself is estimated empirically by
-counting, over the enumerated term space at a fixed depth, how many terms a
-rule's left side matches at the root.
+S(t) = ((1-k) K t)^(1/(1-k)).  Coverage itself is the share of the depth-d
+term space a rule's left side matches at the root.  That share is counted
+in closed form, not by enumeration: a left side's instances are the product,
+over its distinct pattern variables, of the terms of that variable's sort
+that fit below its deepest occurrence, and two left sides share exactly the
+instances of their most general unifier (Baader & Nipkow, *Term Rewriting
+and All That*, ch. 4).  So any depth is cheap; only the subterm-position
+variant enumerates, and is capped like every enumeration.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .growth import GrowthSeries
-from .terms import SubstrateSpec, Term, count_terms, enumerate_terms, match
+from .terms import (SubstrateSpec, Term, count_terms, enumerate_terms, match,
+                    substitute, unify, var)
 
 N0_LIFT = 1e-12  # lifts the S = 0 fixed point when k > 0
 
@@ -33,10 +39,14 @@ class ClosureParams:
     n0: float = 0.0
 
     def __post_init__(self):
+        if self.throughput < 0:
+            raise ValueError("throughput must be non-negative")
         if self.coverage < 0:
             raise ValueError("coverage must be non-negative")
         if self.n0 < 0:
             raise ValueError("n0 must be non-negative")
+        if self.exponent < 0 and self.n0 == 0:
+            raise ValueError("a negative exponent needs n0 > 0")
 
     @property
     def knee(self) -> float:
@@ -57,16 +67,18 @@ def _rk4_step(params: ClosureParams, s: float, dt: float) -> float:
     k2 = growth_rate(params, s + 0.5 * dt * k1)
     k3 = growth_rate(params, s + 0.5 * dt * k2)
     k4 = growth_rate(params, s + dt * k3)
-    new = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert new >= 0.0, "RK4 stepped below zero"
-    return new
+    return s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 ORIGIN_REFINE = 100  # finer steps over t in [0, 1]; S^k is non-smooth at S ~ 0
 
 
 def integrate_closure(params: ClosureParams, t_grid, dt: float) -> np.ndarray:
-    """RK4 values of S at the requested time points (t_grid ascending from 0)."""
+    """RK4 values of S at the requested time points (t_grid ascending from 0).
+
+    With K >= 0 every RK4 stage is at least S, so S never decreases; a step
+    that overflows raises ValueError naming the time it reached.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     s = params.n0
@@ -77,9 +89,15 @@ def integrate_closure(params: ClosureParams, t_grid, dt: float) -> np.ndarray:
     for target in t_grid:
         while t < target - 1e-12:
             step = dt / ORIGIN_REFINE if t < 1.0 else dt
-            step = min(step, target - t)
-            s = _rk4_step(params, s, step)
+            # a Python float step keeps S one, so an overflow raises, not warns
+            step = min(step, float(target) - t)
+            try:
+                s = _rk4_step(params, s, step)
+            except OverflowError:
+                s = math.inf
             t += step
+            if not math.isfinite(s):
+                raise ValueError(f"closure ODE diverged before t = {t:.6g}")
         out.append(s)
     return np.array(out)
 
@@ -125,24 +143,33 @@ class CoverageReport:
     space_size: int
 
 
-def coverage_set(lhs: Term, spec: SubstrateSpec, depth: int,
-                 cap: int = 10_000_000, subterm_positions: bool = False) -> set[int]:
-    """Indices of enumerated depth-``depth`` terms the pattern covers.
+def _pattern_vars(lhs: Term) -> dict[str, tuple[str, int]]:
+    """Each pattern variable's sort and the deepest level it occurs at
+    (the root is level 1)."""
+    out: dict[str, tuple[str, int]] = {}
+    stack = [(lhs, 1)]
+    while stack:
+        t, level = stack.pop()
+        if t.kind == "var" and t.label[0].isupper():
+            deepest = out.get(t.label, (t.sort, 0))[1]
+            out[t.label] = (t.sort, max(deepest, level))
+        stack.extend((a, level + 1) for a in t.args)
+    return out
 
-    Default coverage counts root-position instances of the pattern; the
-    ``subterm_positions`` flag widens it to terms containing an instance
-    anywhere, for sensitivity checks.
-    """
-    space = enumerate_terms(spec, lhs.sort, depth, cap=cap)
-    covered = set()
-    for i, term in enumerate(space):
-        if subterm_positions:
-            if _matches_anywhere(lhs, term):
-                covered.add(i)
-        else:
-            if match(lhs, term) is not None:
-                covered.add(i)
-    return covered
+
+def root_instances(lhs: Term, spec: SubstrateSpec, depth: int) -> int:
+    """How many depth-``depth`` terms of the left side's sort it matches at
+    the root: per distinct pattern variable, the terms of its sort that fit
+    in the depth left at its deepest occurrence, multiplied together."""
+    if lhs.depth > depth:
+        return 0
+    return math.prod(count_terms(spec, sort, depth - level + 1)
+                     for sort, level in _pattern_vars(lhs).values())
+
+
+def _renamed_apart(lhs: Term) -> Term:
+    return substitute(lhs, {name: var(name + "'", sort)
+                            for name, (sort, _) in _pattern_vars(lhs).items()})
 
 
 def _matches_anywhere(lhs: Term, term: Term) -> bool:
@@ -156,48 +183,52 @@ def _matches_anywhere(lhs: Term, term: Term) -> bool:
 
 
 def coverage_fraction(rule, spec: SubstrateSpec, depth: int,
-                      cap: int = 10_000_000,
                       subterm_positions: bool = False) -> float:
-    lhs = rule.lhs if hasattr(rule, "lhs") else rule
-    covered = coverage_set(lhs, spec, depth, cap=cap,
-                           subterm_positions=subterm_positions)
-    return len(covered) / count_terms(spec, lhs.sort, depth)
+    """One rule's coverage fraction; see estimate_mu."""
+    return estimate_mu([rule.lhs], spec, depth,
+                       subterm_positions=subterm_positions).fractions[0]
 
 
-def estimate_mu(rules, spec: SubstrateSpec, depth: int,
-                cap: int = 10_000_000,
+def estimate_mu(lhss: list[Term], spec: SubstrateSpec, depth: int,
                 subterm_positions: bool = False) -> CoverageReport:
-    """Mean coverage fraction over committed rules plus pairwise overlap.
+    """Mean coverage fraction over rule left sides plus pairwise overlap.
 
-    Overlap is normalized by the smaller coverage set, giving a [0, 1]
-    dependence score; disjoint coverage scores 0, nesting scores 1.  The
-    space size sums the term counts of the distinct left-side sorts.
+    Root coverage is counted in closed form (root_instances); two left sides
+    of one sort share exactly the instances of their most general unifier.
+    ``subterm_positions`` widens coverage to the terms containing an
+    instance anywhere, for sensitivity checks; that has no closed form, so
+    it enumerates the space once per distinct sort.  Overlap is normalized
+    by the smaller coverage, giving a [0, 1] dependence score; disjoint
+    coverage scores 0, nesting scores 1.  The space size sums the term
+    counts of the distinct left-side sorts.
     """
-    if not rules:
+    if not lhss:
         raise ValueError("estimate_mu needs at least one rule")
-    sets = []
-    fractions = []
-    for rule in rules:
-        lhs = rule.lhs if hasattr(rule, "lhs") else rule
-        cov = coverage_set(lhs, spec, depth, cap=cap,
-                           subterm_positions=subterm_positions)
-        sets.append((lhs.sort, cov))
-        fractions.append(len(cov) / count_terms(spec, lhs.sort, depth))
-    n = len(rules)
+    sorts = {lhs.sort for lhs in lhss}
+    totals = {sort: count_terms(spec, sort, depth) for sort in sorts}
+    if subterm_positions:
+        spaces = {sort: enumerate_terms(spec, sort, depth) for sort in sorts}
+        covers = [{i for i, t in enumerate(spaces[lhs.sort])
+                   if _matches_anywhere(lhs, t)} for lhs in lhss]
+        sizes = [len(cov) for cov in covers]
+
+        def common(i: int, j: int) -> int:
+            return len(covers[i] & covers[j])
+    else:
+        sizes = [root_instances(lhs, spec, depth) for lhs in lhss]
+
+        def common(i: int, j: int) -> int:
+            both = unify(lhss[i], _renamed_apart(lhss[j]))
+            return 0 if both is None else root_instances(both, spec, depth)
+    fractions = [size / totals[lhs.sort] for lhs, size in zip(lhss, sizes)]
+    n = len(lhss)
     overlap = np.zeros((n, n))
     for i in range(n):
-        sort_i, cov_i = sets[i]
         for j in range(i, n):
-            sort_j, cov_j = sets[j]
-            denom = min(len(cov_i), len(cov_j))
-            if denom == 0 or sort_i != sort_j:
-                value = 0.0
-            else:
-                value = len(cov_i & cov_j) / denom
-            overlap[i, j] = overlap[j, i] = value
-    space_size = sum(count_terms(spec, sort, depth)
-                     for sort in {sort for sort, _ in sets})
+            denom = min(sizes[i], sizes[j])
+            if denom and lhss[i].sort == lhss[j].sort:
+                overlap[i, j] = overlap[j, i] = common(i, j) / denom
     return CoverageReport(fractions=fractions,
                           mu_hat=float(np.mean(fractions)),
                           overlap=overlap, depth=depth,
-                          space_size=space_size)
+                          space_size=sum(totals.values()))

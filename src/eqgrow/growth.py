@@ -451,7 +451,7 @@ def fit_model(model: str, series: GrowthSeries,
     then polished in linear space so its residuals are comparable with the
     other families' (use fit_power_law directly for the log-OLS exponent).
     ``start_override`` gives the one start by name; only theta is read.
-    ``_power_b`` is select_model's own polished power-law exponent, which
+    ``_power_b`` is the caller's own polished power-law exponent, which
     seeds saturating_pl's (b, 0) start instead of a second power-law fit.
     """
     if model == "linear":
@@ -495,12 +495,9 @@ def fit_model(model: str, series: GrowthSeries,
                      log_r2=log_fit.log_r2 if log_fit else None, n_points=len(series))
 
 
-def select_model(series: GrowthSeries, models=DEFAULT_MODELS) -> list[FitResult]:
-    """Fit each model and rank: non-degenerate converged fits by AIC, then
-    degenerate fits by AIC, then non-converged fits.  The power-law fit
-    also seeds saturating_pl's (b, 0) start."""
-    if len(models) < 2:
-        raise ValueError("select_model needs at least 2 candidate models")
+def _fit_each(series: GrowthSeries, models) -> list[FitResult]:
+    """One fit per model, in order.  A power-law fit among them also seeds
+    saturating_pl's (b, 0) start, so the power law is fitted once."""
     power = fit_model("power_law", series) if "power_law" in models else None
     fits = []
     for m in models:
@@ -510,6 +507,15 @@ def select_model(series: GrowthSeries, models=DEFAULT_MODELS) -> list[FitResult]
             fits.append(fit_model(m, series, _power_b=power.params["b"]))
         else:
             fits.append(fit_model(m, series))
+    return fits
+
+
+def select_model(series: GrowthSeries, models=DEFAULT_MODELS) -> list[FitResult]:
+    """Fit each model and rank: non-degenerate converged fits by AIC, then
+    degenerate fits by AIC, then non-converged fits."""
+    if len(models) < 2:
+        raise ValueError("select_model needs at least 2 candidate models")
+    fits = _fit_each(series, models)
     fits.sort(key=lambda f: ((2 if not f.converged else (1 if f.degenerate else 0)),
                              f.aic))
     return fits
@@ -600,8 +606,7 @@ def oos_forecast(series: GrowthSeries, split: int,
     t_tail = series.t[split:]
     n_tail = series.n[split:]
     out = []
-    for model in models:
-        fit = fit_model(model, prefix)
+    for model, fit in zip(models, _fit_each(prefix, models)):
         if not fit.converged:
             out.append(ForecastResult(model, split, math.inf, math.inf, fit))
             continue

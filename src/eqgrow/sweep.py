@@ -43,20 +43,12 @@ class SweepPlan:
     batch_sizes: tuple = SWEEP_BATCH_SIZES
     seeds: tuple = (0, 1, 2, 3, 4)
     epochs: int = 30
-    exclusions: tuple = ()   # (domain, generator, filter, depth, batch_size, seed)
     workers: int | None = None
 
     def configs(self) -> list[ArchConfig]:
-        out = []
-        excluded = set(self.exclusions)
-        for dom, gen, filt, depth, bs, seed in itertools.product(
-                self.domains, self.generators, self.filters, self.depths,
-                self.batch_sizes, self.seeds):
-            key = (dom, gen, filt, depth, bs, seed)
-            if key in excluded:
-                continue
-            out.append(ArchConfig(dom, gen, filt, depth, bs, seed, self.epochs))
-        return out
+        return [ArchConfig(*key, self.epochs) for key in itertools.product(
+            self.domains, self.generators, self.filters, self.depths,
+            self.batch_sizes, self.seeds)]
 
 
 def short_range_plan(seeds=(0, 1, 2, 3, 4), epochs: int = 30) -> SweepPlan:

@@ -39,7 +39,7 @@ class EvalError(Exception):
     """Evaluation failure (unbound variable, prim outside an operator)."""
 
 
-class EnumerationTooLarge(Exception):
+class EnumerationTooLarge(ValueError):
     """Projected enumeration size exceeds the configured cap."""
 
 
@@ -359,6 +359,42 @@ def substitute(pattern: Term, bindings: dict, partial: bool = False) -> Term:
     return Term("app", pattern.label, None,
                 tuple(substitute(a, bindings, partial) for a in pattern.args),
                 pattern.sort)
+
+
+def unify(p: Term, q: Term) -> Term | None:
+    """The most general common instance of two patterns, or None.
+
+    Pattern variables of one name are one variable, so rename one side
+    apart to unify independent patterns.  A sort clash fails, as does
+    binding a variable to a term that contains it (the occurs check).
+    """
+    bindings: dict[str, Term] = {}
+
+    def resolve(t: Term) -> Term:
+        while t.kind == "var" and t.label in bindings:
+            t = bindings[t.label]
+        if not t.args:
+            return t
+        return Term("app", t.label, None, tuple(resolve(a) for a in t.args), t.sort)
+
+    stack = [(p, q)]
+    while stack:
+        a, b = map(resolve, stack.pop())
+        if a == b:
+            continue
+        if a.sort != b.sort:
+            return None
+        if b.kind == "var" and b.label[0].isupper():
+            a, b = b, a
+        if a.kind == "var" and a.label[0].isupper():
+            if a.label in free_variables(b):
+                return None
+            bindings[a.label] = b
+        elif a.kind != b.kind or a.label != b.label or len(a.args) != len(b.args):
+            return None
+        else:
+            stack.extend(zip(a.args, b.args))
+    return resolve(p)
 
 
 def generalize(lhs: Term, rhs: Term) -> tuple[Term, Term]:

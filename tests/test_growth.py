@@ -376,6 +376,25 @@ def test_select_fits_power_law_once(monkeypatch):
     assert next(f for f in ranked if f.model == "saturating_pl").params == alone.params
 
 
+def test_forecast_fits_each_family_once(monkeypatch):
+    series = noisy("saturating_pl", FAMILY_PARAMS["saturating_pl"], T200, 2)
+    prefix = series.prefix(100)
+    alone = {m: fit_model(m, prefix) for m in DEFAULT_MODELS}
+    calls = []
+    original = growth.fit_model
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(growth, "fit_model", counting)
+    results = oos_forecast(series, 100, DEFAULT_MODELS)
+    assert sorted(calls) == sorted(DEFAULT_MODELS)
+    assert [r.model for r in results] == list(DEFAULT_MODELS)
+    for r in results:
+        assert r.fit.params == alone[r.model].params
+
+
 def test_nonconverged_ranks_last():
     series = GrowthSeries(T200, T200)
     ranked = select_model(series, MODELS)

@@ -301,6 +301,18 @@ def test_cli_sweep_non_object_line_is_data_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["exclusions", "domain"])
+def test_cli_sweep_unknown_config_key_is_data_error(tmp_path, capsys, key):
+    # "exclusions" was a dead plan field; "domain" misspells "domains"
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps({key: [["bool", "random", "any", 2, 40, 0]]}))
+    out = tmp_path / "t.jsonl"
+    argv = ["sweep", "--out", str(out), "--config", str(config)]
+    assert main(argv + SMALL_PLAN_ARGS) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_analyze_pipeline(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     code = main(["sweep", "--out", str(out), "--domains", "bool",
@@ -375,6 +387,19 @@ def test_cli_ingest_and_ode(tmp_path, capsys):
     assert ode_out.read_text().splitlines()[1] == "1,2"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--throughput", "-1", "--exponent", "0"], "throughput must be non-negative"),
+    (["--throughput", "1", "--exponent", "-0.5"], "needs n0 > 0"),
+    (["--throughput", "1", "--exponent", "1.5", "--n0", "1"],
+     "diverged before t = 2.04"),
+])
+def test_cli_ode_bad_input_is_data_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "ode.csv"
+    assert main(["ode", *argv, "--t-end", "50", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_regression_commands(tmp_path, capsys):
     out = tmp_path / "sweep.jsonl"
     plan = SweepPlan(domains=("arith", "list"), generators=("random",
@@ -410,3 +435,25 @@ def test_cli_mu_space_sums_distinct_sorts(tmp_path, capsys):
                      "(reverse (reverse A)) => A\n(+ A 0) => A\n")
     assert main(["mu", str(rules), "--domain", "list", "--depth", "2"]) == 0
     assert "(space 240)" in capsys.readouterr().out   # 171 Int + 69 IntList
+
+
+MU_RULES = {"arith": "(+ A 0) => A\n(* A (+ B A)) => (+ (* A B) (* A A))\n",
+            "bool": "(and A 1) => A\n(or A (not A)) => 1\n",
+            "list": "(reverse (reverse C)) => C\n(length (map F C)) => (length C)\n"}
+
+
+@pytest.mark.parametrize("domain", sorted(MU_RULES))
+@pytest.mark.parametrize("depth", [4, 5])
+def test_cli_mu_counts_beyond_the_enumeration_cap(tmp_path, capsys, domain, depth):
+    rules = tmp_path / f"{domain}.rules"
+    rules.write_text(MU_RULES[domain])
+    assert main(["mu", str(rules), "--domain", domain, "--depth", str(depth)]) == 0
+    assert f"over 2 rules at depth {depth}" in capsys.readouterr().out
+
+
+def test_cli_mu_subterm_positions_past_the_cap_is_data_error(tmp_path, capsys):
+    rules = tmp_path / "arith.rules"
+    rules.write_text(MU_RULES["arith"])
+    argv = ["mu", str(rules), "--domain", "arith", "--depth", "4"]
+    assert main(argv + ["--subterm-positions"]) == 2
+    assert "enumeration too large" in capsys.readouterr().err
