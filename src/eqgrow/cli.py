@@ -23,12 +23,12 @@ from .growth import (DEFAULT_MODELS, MODELS, bootstrap_ci, fit_csv_row,
                      select_model, series_from_sizes, write_series_csv)
 from .ingest import monthly_series, parse_log, write_monthly_csv
 from .regression import (build_features, kfold_cv, pooled_eval, transfer_eval)
-from .report import (domain_table_text, render_table, svg_line_plot,
-                     write_csv, write_domain_table_csv, write_exponents_csv,
-                     write_histogram_csv, write_window_winners_csv,
-                     window_winners_text)
-from .sweep import (analyze, long_range_plan, read_sweep_file, run_sweep,
-                    short_range_plan)
+from .report import (domain_table_text, read_exponents_csv, render_table,
+                     svg_line_plot, write_csv, write_domain_table_csv,
+                     write_exponents_csv, write_histogram_csv,
+                     write_window_winners_csv, window_winners_text)
+from .sweep import (DEFAULT_WINDOWS, SweepPlan, analyze, long_range_plan,
+                    read_sweep_file, run_sweep)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -50,20 +50,6 @@ def _load_series(path):
             raise ValueError(f"{path}: no trajectories")
         return series_from_sizes(good[0]["sizes"])
     return read_series_csv(path)
-
-
-def _read_exponents_csv(path):
-    import csv as _csv
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(_csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty exponent table")
-    for row in rows:
-        row["depth"] = int(row["depth"])
-        row["batch_size"] = int(row["batch_size"])
-        row["seed"] = int(row["seed"])
-        row["b"] = float(row["b"])
-    return rows
 
 
 def build_parser() -> _Parser:
@@ -93,7 +79,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="fit exponents and window winners")
     p.add_argument("trajectories", help="sweep JSONL file")
     p.add_argument("--windows", nargs="+", type=int,
-                   default=[30, 50, 100, 200, 300, 500])
+                   default=list(DEFAULT_WINDOWS))
     p.add_argument("--models", nargs="+", default=list(DEFAULT_MODELS),
                    choices=list(MODELS))
     p.add_argument("--out-dir", required=True)
@@ -173,26 +159,20 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(args) -> int:
-    plan = long_range_plan() if args.plan == "long-range" else short_range_plan()
+    plan = long_range_plan() if args.plan == "long-range" else SweepPlan()
+    names = [f.name for f in fields(plan)]  # also the dests of the flags
     overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            overrides.update(json.load(fh))
-        unknown = sorted(set(overrides) - {f.name for f in fields(plan)})
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config}: a plan file must be a JSON object")
+        unknown = sorted(set(overrides) - set(names))
         if unknown:
             raise ValueError(f"{args.config}: unknown plan keys {unknown}")
-    for name in ("domains", "generators", "filters", "depths", "batch_sizes",
-                 "seeds"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    plan = replace(plan, **{key: value if key in ("epochs", "workers")
-                            else tuple(value)
-                            for key, value in overrides.items()})
+    overrides.update({name: getattr(args, name) for name in names
+                      if getattr(args, name) is not None})
+    plan = replace(plan, **overrides)
     done = {"count": 0}
 
     def progress(i, total):
@@ -259,7 +239,7 @@ def _write_pairs(path, actual, predicted):
 
 
 def _cmd_regress(args) -> int:
-    rows = _read_exponents_csv(args.exponents)
+    rows = read_exponents_csv(args.exponents)
     rows = [r for r in rows if r["domain"] in args.domains]
     if not rows:
         raise ValueError("no rows for requested domains")
@@ -274,7 +254,7 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    rows = _read_exponents_csv(args.exponents)
+    rows = read_exponents_csv(args.exponents)
     train = [r for r in rows if r["domain"] in args.train]
     test = [r for r in rows if r["domain"] in args.test]
     if not train or not test:
@@ -291,7 +271,7 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_pooled(args) -> int:
-    rows = _read_exponents_csv(args.exponents)
+    rows = read_exponents_csv(args.exponents)
     y = np.array([r["b"] for r in rows])
     report = pooled_eval(rows, y, folds=args.folds,
                          shuffle_seed=args.shuffle_seed,

@@ -25,10 +25,11 @@ import numpy as np
 
 from . import __version__
 from .terms import (
-    BOOL, INT, INTLIST, SubstrateSpec, SUBSTRATES, Term, evaluate, generalize,
-    match, parse_term, pattern_variables, substitute, subterms,
+    BOOL, INT, INTLIST, SubstrateSpec, SUBSTRATES, Term, TermError, evaluate,
+    generalize, match, parse_term, pattern_variables, substitute, subterms,
 )
 
+DOMAINS = tuple(SUBSTRATES)
 GENERATORS = ("random", "compositional", "freq", "mdl_greedy")
 FILTERS = ("any", "novelty")
 SWEEP_DEPTHS = (2, 3, 4)
@@ -71,7 +72,6 @@ class ArchConfig:
     batch_size: int
     seed: int
     epochs: int
-    allow_overrides: bool = False
 
     def __post_init__(self):
         if self.domain not in SUBSTRATES:
@@ -82,12 +82,11 @@ class ArchConfig:
             raise ConfigError(f"unknown filter {self.filter!r}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if not self.allow_overrides:
-            if self.depth not in SWEEP_DEPTHS:
-                raise ConfigError(f"depth {self.depth} outside sweep set {SWEEP_DEPTHS}")
-            if self.batch_size not in SWEEP_BATCH_SIZES:
-                raise ConfigError(
-                    f"batch_size {self.batch_size} outside sweep set {SWEEP_BATCH_SIZES}")
+        if self.depth not in SWEEP_DEPTHS:
+            raise ConfigError(f"depth {self.depth} outside sweep set {SWEEP_DEPTHS}")
+        if self.batch_size not in SWEEP_BATCH_SIZES:
+            raise ConfigError(
+                f"batch_size {self.batch_size} outside sweep set {SWEEP_BATCH_SIZES}")
 
     def key(self) -> tuple:
         return tuple(getattr(self, name) for name in KEY_FIELDS)
@@ -556,6 +555,8 @@ def dump_rules(path, rules: list[Rule]):
 
 
 def load_rules(spec: SubstrateSpec, path) -> list[Rule]:
+    """The rules of a file written by dump_rules; a line that does not
+    parse raises TermError prefixed with ``path:line``."""
     rules = []
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh):
@@ -563,10 +564,13 @@ def load_rules(spec: SubstrateSpec, path) -> list[Rule]:
             if not line:
                 continue
             lhs_text, _, rhs_text = line.partition("=>")
-            lhs = parse_term(spec, lhs_text.strip())
-            var_sorts = {}
-            _collect_pattern_sorts(lhs, var_sorts)
-            rhs = parse_term(spec, rhs_text.strip(), var_sorts=var_sorts)
+            try:
+                lhs = parse_term(spec, lhs_text.strip())
+                var_sorts = {}
+                _collect_pattern_sorts(lhs, var_sorts)
+                rhs = parse_term(spec, rhs_text.strip(), var_sorts=var_sorts)
+            except TermError as exc:
+                raise TermError(f"{path}:{i + 1}: {exc}") from None
             rules.append(Rule(lhs, rhs, 0, i))
     return rules
 

@@ -454,6 +454,8 @@ def fit_model(model: str, series: GrowthSeries,
     ``_power_b`` is the caller's own polished power-law exponent, which
     seeds saturating_pl's (b, 0) start instead of a second power-law fit.
     """
+    if not len(series):
+        raise SeriesError(f"cannot fit {model} to an empty series")
     if model == "linear":
         return _fit_linear(series)
     t, n = series.t, series.n

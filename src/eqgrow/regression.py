@@ -13,37 +13,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DOMAINS = ("arith", "bool", "list")
-GENERATOR_ORDER = ("random", "compositional", "freq", "mdl_greedy")
-FILTER_ORDER = ("any", "novelty")
+from .engine import DOMAINS, FILTERS, GENERATORS
 
 N_STAGES = 200
 MAX_DEPTH = 3
 LEARNING_RATE = 0.1
 
 
-def feature_names(include_domain: bool = False, include_seed: bool = False):
-    names = [f"gen_{g}" for g in GENERATOR_ORDER]
-    names += [f"filter_{f}" for f in FILTER_ORDER]
-    names += ["depth", "batch_size"]
-    if include_domain:
-        names += [f"domain_{d}" for d in DOMAINS]
-    if include_seed:
-        names += ["seed"]
-    return names
-
-
 def build_features(rows, include_domain: bool = False,
                    include_seed: bool = False) -> np.ndarray:
     """Feature matrix from trajectory metadata dicts.
 
-    One-hot generator (4) and filter (2), numeric depth and batch size,
-    optional one-hot domain and numeric seed.
+    One-hot generator (4) and filter (2) in the engine's order, numeric
+    depth and batch size, optional one-hot domain and numeric seed.
     """
     out = []
     for row in rows:
-        vec = [1.0 if row["generator"] == g else 0.0 for g in GENERATOR_ORDER]
-        vec += [1.0 if row["filter"] == f else 0.0 for f in FILTER_ORDER]
+        vec = [1.0 if row["generator"] == g else 0.0 for g in GENERATORS]
+        vec += [1.0 if row["filter"] == f else 0.0 for f in FILTERS]
         vec += [float(row["depth"]), float(row["batch_size"])]
         if include_domain:
             vec += [1.0 if row["domain"] == d else 0.0 for d in DOMAINS]
@@ -141,14 +128,13 @@ def _tree_predict(node: _Node, X: np.ndarray) -> np.ndarray:
 class GbmModel:
     initial_prediction: float
     trees: list[_Node] = field(default_factory=list)
-    learning_rate: float = LEARNING_RATE
     train_mse_path: list[float] = field(default_factory=list)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         pred = np.full(len(X), self.initial_prediction)
         for tree in self.trees:
-            pred += self.learning_rate * _tree_predict(tree, X)
+            pred += LEARNING_RATE * _tree_predict(tree, X)
         return pred
 
 

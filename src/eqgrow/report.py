@@ -1,17 +1,19 @@
 """CSV, text-table, and SVG emission for analysis reports.
 
 Every writer formats numbers with a fixed precision so identical inputs
-produce byte-identical files.
+produce byte-identical files.  The exponent table is also read back here,
+by the regression commands.
 """
 
 from __future__ import annotations
 
 import csv
 
-from .sweep import AnalysisReport
+from .sweep import ROW_FIELDS, AnalysisReport
 
-EXPONENT_COLUMNS = ("domain", "generator", "filter", "depth", "batch_size",
-                    "seed", "b", "degenerate")
+EXPONENT_COLUMNS = ROW_FIELDS + ("b", "degenerate")
+DOMAIN_COLUMNS = ("domain", "n", "mean_b", "max_b", "count_b_gt_1",
+                  "frac_b_lt_0.1")
 
 
 def _fmt(value) -> str:
@@ -44,19 +46,34 @@ def write_exponents_csv(path, report: AnalysisReport):
     write_csv(path, EXPONENT_COLUMNS, rows)
 
 
+def read_exponents_csv(path) -> list[dict]:
+    """The rows of an exponent table, with its numeric grid fields and b
+    converted; an empty table raises ValueError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty exponent table")
+    for row in rows:
+        for name in ("depth", "batch_size", "seed"):
+            row[name] = int(row[name])
+        row["b"] = float(row["b"])
+    return rows
+
+
 def write_domain_table_csv(path, report: AnalysisReport):
-    header = ("domain", "n", "mean_b", "max_b", "count_b_gt_1", "frac_b_lt_0.1")
-    rows = [[t[c] for c in header] for t in report.domain_table]
-    write_csv(path, header, rows)
+    rows = [[t[c] for c in DOMAIN_COLUMNS] for t in report.domain_table]
+    write_csv(path, DOMAIN_COLUMNS, rows)
+
+
+def _winner_rows(report: AnalysisReport, label) -> list[list]:
+    return [[label(w)] + [report.window_winners[w].get(m, 0)
+                          for m in report.models]
+            for w in sorted(report.window_winners)]
 
 
 def write_window_winners_csv(path, report: AnalysisReport):
-    header = ("window",) + tuple(report.models)
-    rows = []
-    for w in sorted(report.window_winners):
-        counts = report.window_winners[w]
-        rows.append([w] + [counts.get(m, 0) for m in report.models])
-    write_csv(path, header, rows)
+    write_csv(path, ("window",) + tuple(report.models),
+              _winner_rows(report, int))
 
 
 def write_histogram_csv(path, report: AnalysisReport):
@@ -66,20 +83,15 @@ def write_histogram_csv(path, report: AnalysisReport):
 
 
 def domain_table_text(report: AnalysisReport) -> str:
-    header = ("domain", "n", "mean_b", "max_b", "count_b_gt_1", "frac_b_lt_0.1")
-    rows = [[t["domain"], t["n"], round(t["mean_b"], 3), round(t["max_b"], 3),
-             t["count_b_gt_1"], round(t["frac_b_lt_0.1"], 3)]
+    rows = [[round(v, 3) if isinstance(v, float) else v
+             for v in (t[c] for c in DOMAIN_COLUMNS)]
             for t in report.domain_table]
-    return render_table(header, rows)
+    return render_table(DOMAIN_COLUMNS, rows)
 
 
 def window_winners_text(report: AnalysisReport) -> str:
-    header = ("window",) + tuple(report.models)
-    rows = []
-    for w in sorted(report.window_winners):
-        counts = report.window_winners[w]
-        rows.append([f"<= {w}"] + [counts.get(m, 0) for m in report.models])
-    return render_table(header, rows)
+    return render_table(("window",) + tuple(report.models),
+                        _winner_rows(report, "<= {}".format))
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +140,6 @@ def svg_line_plot(path, named_series, title: str = "", log_log: bool = False):
                  f'{x_lo:.3g} .. {x_hi:.3g}</text>')
     parts.append(f'<text x="8" y="{SVG_MARGIN}" font-size="11">'
                  f'{y_lo:.3g} .. {y_hi:.3g}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def svg_scatter(path, xs, ys, title: str = "", diagonal: bool = True):
-    """Predicted-vs-actual style scatter with an optional identity line."""
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    lo, hi = min(x_lo, y_lo), max(x_hi, y_hi)
-    px = _scale(xs, lo, hi, SVG_MARGIN, SVG_WIDTH - SVG_MARGIN)
-    py = _scale(ys, lo, hi, SVG_HEIGHT - SVG_MARGIN, SVG_MARGIN)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
-        f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{SVG_WIDTH // 2}" y="24" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
-    if diagonal:
-        d = _scale([lo, hi], lo, hi, SVG_MARGIN, SVG_WIDTH - SVG_MARGIN)
-        e = _scale([lo, hi], lo, hi, SVG_HEIGHT - SVG_MARGIN, SVG_MARGIN)
-        parts.append(f'<line x1="{d[0]:.2f}" y1="{e[0]:.2f}" x2="{d[1]:.2f}" '
-                     f'y2="{e[1]:.2f}" stroke="#888" stroke-dasharray="4 3"/>')
-    for x, y in zip(px, py):
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" '
-                     f'fill="#1f77b4" fill-opacity="0.6"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -16,16 +16,17 @@ import itertools
 import json
 import os
 from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .engine import (ArchConfig, ENGINE_VERSION, FILTERS, GENERATORS,
-                     KEY_FIELDS, PRNG_ID, SWEEP_BATCH_SIZES, SWEEP_DEPTHS,
-                     dump_rules, record_to_json, run_discovery,
-                     trajectory_record)
+from .engine import (ArchConfig, ConfigError, DOMAINS, ENGINE_VERSION,
+                     FILTERS, GENERATORS, KEY_FIELDS, PRNG_ID,
+                     SWEEP_BATCH_SIZES, SWEEP_DEPTHS, dump_rules,
+                     record_to_json, run_discovery, trajectory_record)
 from .growth import (DEFAULT_MODELS, fit_power_law, select_model,
                      series_from_sizes)
 
@@ -33,10 +34,23 @@ DEFAULT_WINDOWS = (30, 50, 100, 200, 300, 500)
 DEGENERATE_B_THRESHOLD = 0.1
 HISTOGRAM_STEP = 0.05
 
+# KEY_FIELDS without epochs: the grid point that keys an exponent row.
+ROW_FIELDS = tuple(name for name in KEY_FIELDS if name != "epochs")
+_AXES = ("domains", "generators", "filters", "depths", "batch_sizes", "seeds")
+_INT_AXES = ("depths", "batch_sizes", "seeds")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass
 class SweepPlan:
-    domains: tuple = ("arith", "bool", "list")
+    """The default is the full short-range grid.  Axes are stored as
+    tuples; a field of the wrong type raises ConfigError naming it, and
+    axis values are checked by ArchConfig when configs() builds the grid."""
+
+    domains: tuple = DOMAINS
     generators: tuple = GENERATORS
     filters: tuple = FILTERS
     depths: tuple = SWEEP_DEPTHS
@@ -45,22 +59,30 @@ class SweepPlan:
     epochs: int = 30
     workers: int | None = None
 
+    def __post_init__(self):
+        for name in _AXES:
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Sequence):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            if name in _INT_AXES and not all(map(_is_int, value)):
+                raise ConfigError(f"{name} must hold ints, got {value!r}")
+            setattr(self, name, tuple(value))
+        if not _is_int(self.epochs) or self.epochs < 0:
+            raise ConfigError(f"epochs must be an int >= 0, got {self.epochs!r}")
+        if self.workers is not None and not _is_int(self.workers):
+            raise ConfigError(f"workers must be an int, got {self.workers!r}")
+
     def configs(self) -> list[ArchConfig]:
         return [ArchConfig(*key, self.epochs) for key in itertools.product(
             self.domains, self.generators, self.filters, self.depths,
             self.batch_sizes, self.seeds)]
 
 
-def short_range_plan(seeds=(0, 1, 2, 3, 4), epochs: int = 30) -> SweepPlan:
-    """The full short-range architecture grid at 30 epochs."""
-    return SweepPlan(seeds=tuple(seeds), epochs=epochs)
-
-
-def long_range_plan(seeds=(0, 1, 2, 3, 4), epochs: int = 500) -> SweepPlan:
+def long_range_plan() -> SweepPlan:
     """Five long list-domain trajectories at one architecture."""
     return SweepPlan(domains=("list",), generators=("compositional",),
                      filters=("any",), depths=(2,), batch_sizes=(80,),
-                     seeds=tuple(seeds), epochs=epochs)
+                     epochs=500)
 
 
 def _rules_path(rules_dir, config: ArchConfig) -> str:
@@ -198,14 +220,6 @@ class AnalysisReport:
     models: tuple = ()
 
 
-def trajectory_exponent(sizes) -> dict:
-    """Log-log slope of a trajectory; flat/short trajectories flag b = 0."""
-    series = series_from_sizes(sizes)
-    fit = fit_power_law(series)
-    return {"b": fit.params["b"], "a": fit.params["a"],
-            "log_r2": fit.log_r2, "degenerate": fit.degenerate}
-
-
 def analyze(records: list[dict], windows=DEFAULT_WINDOWS,
             models=DEFAULT_MODELS) -> AnalysisReport:
     """Per-trajectory exponents plus AIC winners at each window prefix."""
@@ -216,14 +230,14 @@ def analyze(records: list[dict], windows=DEFAULT_WINDOWS,
     winners: dict[int, Counter] = {w: Counter() for w in windows}
     for rec in good:
         sizes = rec["sizes"]
-        expo = trajectory_exponent(sizes)
-        row = {k: rec[k] for k in ("domain", "generator", "filter", "depth",
-                                   "batch_size", "seed")}
-        row.update(b=expo["b"], log_r2=expo["log_r2"],
-                   degenerate=int(expo["degenerate"]),
+        series = series_from_sizes(sizes)
+        # log-log slope; a flat or short trajectory is flagged with b = 0
+        fit = fit_power_law(series)
+        row = {k: rec[k] for k in ROW_FIELDS}
+        row.update(b=fit.params["b"], log_r2=fit.log_r2,
+                   degenerate=int(fit.degenerate),
                    final_size=sizes[-1] if sizes else 0)
         report.exponents.append(row)
-        series = series_from_sizes(sizes)
         for w in windows:
             if w > len(sizes):
                 continue

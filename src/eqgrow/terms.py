@@ -31,11 +31,11 @@ PRED = "Pred"
 FUN2 = "Fun2"
 
 
-class TermError(Exception):
+class TermError(ValueError):
     """Malformed term construction or parse failure."""
 
 
-class EvalError(Exception):
+class EvalError(ValueError):
     """Evaluation failure (unbound variable, prim outside an operator)."""
 
 
@@ -341,23 +341,18 @@ def match(pattern: Term, term: Term):
     return bindings
 
 
-def substitute(pattern: Term, bindings: dict, partial: bool = False) -> Term:
-    """Replace each pattern variable in ``pattern`` with its binding.
-
-    A missing binding is an error unless ``partial`` is set, in which case
-    the pattern variable stays in place.
-    """
+def substitute(pattern: Term, bindings: dict) -> Term:
+    """Replace each pattern variable in ``pattern`` with its binding; a
+    missing binding is an error."""
     if pattern.kind == "var" and pattern.label[0].isupper():
         got = bindings.get(pattern.label)
-        if got is not None:
-            return got
-        if partial:
-            return pattern
-        raise TermError(f"no binding for pattern variable {pattern.label}")
+        if got is None:
+            raise TermError(f"no binding for pattern variable {pattern.label}")
+        return got
     if not pattern.args:
         return pattern
     return Term("app", pattern.label, None,
-                tuple(substitute(a, bindings, partial) for a in pattern.args),
+                tuple(substitute(a, bindings) for a in pattern.args),
                 pattern.sort)
 
 
@@ -519,26 +514,6 @@ def enumerate_terms(spec: SubstrateSpec, sort: str, max_depth: int,
 # Canonical text round-trip
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-            tokens.append(ch)
-        elif ch.isspace():
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        tokens.append("".join(cur))
-    return tokens
-
-
 def parse_term(spec: SubstrateSpec, text: str, sort: str | None = None,
                var_sorts: dict[str, str] | None = None) -> Term:
     """Parse the canonical prefix text form back into a Term.
@@ -547,7 +522,7 @@ def parse_term(spec: SubstrateSpec, text: str, sort: str | None = None,
     variable); ``var_sorts`` can pre-assign sorts to pattern variables, as
     when parsing a rule's right side with the left side's variables.
     """
-    tokens = _tokenize(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise TermError("empty term text")
     pattern_sorts = dict(var_sorts or {})
@@ -579,9 +554,10 @@ def parse_term(spec: SubstrateSpec, text: str, sort: str | None = None,
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            op = spec.ops_by_name.get(tokens[pos])
+            name = tokens[pos] if pos < len(tokens) else ""
+            op = spec.ops_by_name.get(name)
             if op is None:
-                raise TermError(f"unknown operator {tokens[pos]!r}")
+                raise TermError(f"unknown operator {name!r} in {text!r}")
             pos += 1
             args = [parse(s) for s in op.arg_sorts]
             if pos >= len(tokens) or tokens[pos] != ")":

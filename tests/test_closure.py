@@ -148,7 +148,7 @@ def test_coverage_monotone_under_instantiation():
     rng = np.random.default_rng(0)
     for leaf_text in ("x", "0", "2"):
         leaf = parse_term(ARITH, leaf_text)
-        narrowed = Rule(substitute(broad.lhs, {"B": leaf}, partial=True),
+        narrowed = Rule(substitute(broad.lhs, {"A": var("A", INT), "B": leaf}),
                         broad.rhs, 0, 0)
         assert (coverage_fraction(narrowed, ARITH, 2)
                 <= coverage_fraction(broad, ARITH, 2))

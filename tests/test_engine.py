@@ -418,7 +418,6 @@ def test_config_validation():
         ArchConfig("arith", "random", "any", 9, 80, 0, 5)
     with pytest.raises(ConfigError):
         ArchConfig("arith", "random", "any", 3, 81, 0, 5)
-    ArchConfig("arith", "random", "any", 9, 81, 0, 5, allow_overrides=True)
 
 
 def test_rule_file_roundtrip(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 from eqgrow import growth
 from eqgrow.growth import (
-    DEFAULT_MODELS, FitResult, GrowthSeries, MODELS, PARAM_NAMES, TAU_BOX, X_MIN,
+    DEFAULT_MODELS, FitResult, GrowthSeries, MODELS, PARAM_NAMES, SeriesError,
+    TAU_BOX, X_MIN,
     bootstrap_ci, fit_csv_row, fit_model, fit_power_law, oos_forecast, predict,
     read_series_csv, select_model, series_from_sizes, write_series_csv,
 )
@@ -55,6 +56,15 @@ def test_power_law_too_few_points_degenerate():
     series = GrowthSeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
                           np.array([0.0, 0.0, 0.0, 2.0, 3.0]))
     fit = fit_power_law(series)
+    assert fit.degenerate and fit.params["b"] == 0.0
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_empty_series_is_refused_but_flat_in_log_fit(model):
+    empty = series_from_sizes([])
+    with pytest.raises(SeriesError, match="empty series"):
+        fit_model(model, empty)
+    fit = fit_power_law(empty)
     assert fit.degenerate and fit.params["b"] == 0.0
 
 

@@ -6,11 +6,11 @@ import pytest
 
 import eqgrow.sweep as sweep_mod
 from eqgrow.cli import main
-from eqgrow.engine import dump_rules, run_discovery
+from eqgrow.engine import ConfigError, dump_rules, run_discovery
 from eqgrow.ingest import CommitRecord, format_log
-from eqgrow.report import (render_table, svg_line_plot, svg_scatter, write_csv)
+from eqgrow.report import render_table, svg_line_plot, write_csv
 from eqgrow.sweep import (SweepPlan, analyze, long_range_plan,
-                          read_sweep_file, run_sweep, short_range_plan)
+                          read_sweep_file, run_sweep)
 
 SMALL_PLAN = SweepPlan(domains=("bool",), generators=("random",),
                        filters=("any", "novelty"), depths=(2, 3),
@@ -170,13 +170,33 @@ def test_parallel_matches_serial(tmp_path):
 
 
 def test_plan_presets():
-    assert len(short_range_plan().configs()) == 3 * 4 * 2 * 3 * 5 * 5
+    assert len(SweepPlan().configs()) == 3 * 4 * 2 * 3 * 5 * 5
     lr = long_range_plan()
     configs = lr.configs()
     assert len(configs) == 5
     assert {c.epochs for c in configs} == {500}
     assert {(c.domain, c.generator, c.filter, c.depth, c.batch_size)
             for c in configs} == {("list", "compositional", "any", 2, 80)}
+
+
+def test_plan_axes_are_tuples():
+    assert SweepPlan(depths=[2]) == SweepPlan(depths=(2,))
+    assert SweepPlan(seeds=range(2)).seeds == (0, 1)
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"domains": "bool"}, "domains"),
+    ({"generators": 3}, "generators"),
+    ({"depths": [2, "3"]}, "depths"),
+    ({"batch_sizes": [40.0]}, "batch_sizes"),
+    ({"seeds": [True]}, "seeds"),
+    ({"epochs": "3"}, "epochs"),
+    ({"epochs": -1}, "epochs"),
+    ({"workers": 1.5}, "workers"),
+])
+def test_plan_field_types_checked(overrides, field):
+    with pytest.raises(ConfigError, match=field):
+        SweepPlan(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +284,6 @@ def test_svg_two_point_series_single_polyline(tmp_path):
     assert len(points.split()) == 2
 
 
-def test_svg_scatter_structure(tmp_path):
-    path = tmp_path / "scatter.svg"
-    svg_scatter(path, [0.1, 0.5, 0.9], [0.2, 0.4, 1.0])
-    text = path.read_text()
-    assert text.count("<circle") == 3
-
-
 def test_render_table_alignment():
     text = render_table(("name", "v"), [["alpha", 1], ["b", 22]])
     lines = text.splitlines()
@@ -311,6 +324,36 @@ def test_cli_sweep_unknown_config_key_is_data_error(tmp_path, capsys, key):
     assert main(argv + SMALL_PLAN_ARGS) == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("plan,field", [
+    ([1, 2], "JSON object"),
+    ({"epochs": "3"}, "epochs"),
+    ({"domains": "bool"}, "domains"),
+    ({"seeds": ["0"]}, "seeds"),
+])
+def test_cli_sweep_config_value_types_are_data_errors(tmp_path, capsys, plan,
+                                                      field):
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps(plan))
+    out = tmp_path / "t.jsonl"
+    argv = ["sweep", "--out", str(out), "--config", str(config)]
+    assert main(argv + ["--workers", "1"]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_config_and_flags_merge(tmp_path, capsys):
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps({"domains": ["bool"], "generators": ["random"],
+                                  "seeds": [1], "epochs": 99}))
+    out = tmp_path / "t.jsonl"
+    argv = ["sweep", "--out", str(out), "--config", str(config),
+            "--filters", "any", "--depths", "2", "--batch-sizes", "40",
+            "--epochs", "5", "--workers", "1"]
+    assert main(argv) == 0
+    [record] = read_sweep_file(out)
+    assert (record["domain"], record["seed"], record["epochs"]) == ("bool", 1, 5)
 
 
 def test_cli_sweep_analyze_pipeline(tmp_path, capsys):
@@ -418,6 +461,25 @@ def test_cli_regression_commands(tmp_path, capsys):
     assert main(["pooled", exponents, "--folds", "4"]) == 0
     captured = capsys.readouterr()
     assert "transfer r2" in captured.out
+
+
+@pytest.mark.parametrize("line", ["(+ A q) => A", "(+ A 0 => A", "( => A"])
+def test_cli_mu_malformed_rule_file_is_data_error(tmp_path, capsys, line):
+    rules = tmp_path / "bad.rules"
+    rules.write_text(f"(* A 1) => A\n\n{line}\n")
+    assert main(["mu", str(rules), "--domain", "arith"]) == 2
+    assert f"{rules}:3: " in capsys.readouterr().err
+
+
+def test_cli_fit_empty_series_is_data_error(tmp_path, capsys):
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("t,n\n")
+    zero_epochs = tmp_path / "zero.jsonl"
+    run_sweep(SweepPlan(**{**SMALL_PLAN.__dict__, "depths": (2,),
+                           "filters": ("any",), "epochs": 0}), zero_epochs)
+    for series in (header_only, zero_epochs):
+        assert main(["fit", str(series)]) == 2
+        assert "empty series" in capsys.readouterr().err
 
 
 def test_cli_mu_command(tmp_path, capsys):

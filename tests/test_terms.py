@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqgrow.engine import ArchConfig, _config_rng, _grow, sample_env
 from eqgrow.terms import (
     ARITH, BOOL, BOOLDOM, EnumerationTooLarge, INT, INTLIST, LIST,
-    SUBSTRATES, Term, const, count_terms, enumerate_terms, evaluate,
+    SUBSTRATES, Term, app, const, count_terms, enumerate_terms, evaluate,
     generalize, match, parse_term, subterms, substitute, var,
 )
 
@@ -213,6 +214,42 @@ def test_parse_print_roundtrip_enumerated():
     for spec, sort in ((BOOLDOM, BOOL), (ARITH, INT), (LIST, INTLIST)):
         for term in enumerate_terms(spec, sort, 2):
             assert parse_term(spec, term.text).text == term.text
+
+
+@st.composite
+def _grammar_terms(draw, spec, sort, depth):
+    """A term of ``sort`` and depth <= ``depth`` over every leaf of ``spec``."""
+    ops = spec.ops_by_result.get(sort, ())
+    if depth > 1 and ops and draw(st.booleans()):
+        op = draw(st.sampled_from(ops))
+        return app(op, [draw(_grammar_terms(spec, s, depth - 1))
+                        for s in op.arg_sorts])
+    return draw(st.sampled_from(spec.leaves_by_sort[sort]))
+
+
+def _var_sorts(term):
+    if term.kind == "var":
+        return {term.label: term.sort}
+    return {k: v for a in term.args for k, v in _var_sorts(a).items()}
+
+
+def _root_var_sort(term):
+    """The sort a bare root variable needs to be given; None otherwise."""
+    return term.sort if term.kind == "var" else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from((ARITH, BOOLDOM, LIST)), data=st.data())
+def test_print_parse_roundtrip(spec, data):
+    sort = data.draw(st.sampled_from(spec.principal_sorts))
+    lhs = data.draw(_grammar_terms(spec, sort, 4))
+    rhs = data.draw(_grammar_terms(spec, sort, 4))
+    lhs_pattern, rhs_pattern = generalize(lhs, rhs)
+    for term, var_sorts in ((lhs, None), (rhs, None), (lhs_pattern, None),
+                            (rhs_pattern, _var_sorts(lhs_pattern))):
+        back = parse_term(spec, term.text, sort=_root_var_sort(term),
+                          var_sorts=var_sorts)
+        assert (back.text, back.sort) == (term.text, term.sort)
 
 
 def test_parse_pattern_with_sorts():
