@@ -134,6 +134,11 @@ class RuleSet:
     ``(-hit_count, insertion_index, order of addition)``; a rule that
     matches at several positions applies at the first in preorder.  A rule
     whose left side is not an operator application never applies.
+
+    The redexes of each subterm are memoized.  They depend on the rules but
+    not on their hit counts, so the memo holds until the next ``add``, and
+    the discovery loop clears it at each epoch start to keep it to one
+    epoch's terms.
     """
 
     def __init__(self):
@@ -143,6 +148,7 @@ class RuleSet:
         self._edges: dict[tuple, int] = {}
         # leaf node -> [(order of addition, rule)]
         self._leaves: dict[int, list[tuple[int, Rule]]] = {}
+        self._redexes: dict[Term, list[tuple[int, int, Rule, dict]]] = {}
 
     def __len__(self):
         return len(self.rules)
@@ -160,36 +166,70 @@ class RuleSet:
                 node = child
             self._leaves.setdefault(node, []).append((len(self.rules), rule))
         self.rules.append(rule)
+        self._redexes.clear()
 
-    def candidates(self, nodes: list[Term]) -> list[tuple[int, int, Rule]]:
-        """``(position, order of addition, rule)`` for each rule whose left
-        side could match at a position of a term, given the term's nodes in
-        preorder; a position indexes ``nodes``.
+    def clear_memo(self):
+        """Forget the memoized redexes."""
+        self._redexes.clear()
 
-        A symbol has one arity in every substrate, so a path that reaches a
-        leaf of the tree has read exactly the subterm at the position.
+    def redexes(self, term: Term) -> list[tuple[int, int, Rule, dict]]:
+        """``(position, order of addition, rule, bindings)`` for each rule
+        whose left side matches the term at a preorder position, with the
+        bindings of that match.  The returned list is shared; do not change
+        it.
+        """
+        found = self._redexes.get(term)
+        if found is not None:
+            return found
+        found = self._root_redexes(term)
+        offset = 1
+        for arg in term.args:
+            found.extend((offset + position, order, rule, bindings)
+                         for position, order, rule, bindings
+                         in self.redexes(arg))
+            offset += arg.size
+        self._redexes[term] = found
+        return found
+
+    def _root_redexes(self, term: Term) -> list[tuple[int, int, Rule, dict]]:
+        """The redexes at the root of a term.
+
+        The walk keeps the subterms still to read as a linked list
+        ``(term, rest)``: a symbol edge reads one node and queues its
+        arguments, a wildcard skips one whole subterm.  A symbol has one
+        arity in every substrate, so a path that reaches a leaf of the tree
+        has read exactly the term.
         """
         edges, leaves = self._edges, self._leaves
         out = []
-        for i, t in enumerate(nodes):
-            root = edges.get((0, t.kind, t.label))
-            if root is None:
+        root = edges.get((0, term.kind, term.label))
+        if root is None:
+            return out
+        stack = [(root, _queue(term.args, None))]
+        while stack:
+            node, pending = stack.pop()
+            found = leaves.get(node)
+            if found is not None:
+                for order, rule in found:
+                    bindings = match(rule.lhs, term)
+                    if bindings is not None:
+                        out.append((0, order, rule, bindings))
                 continue
-            stack = [(root, i + 1)]
-            while stack:
-                node, j = stack.pop()
-                found = leaves.get(node)
-                if found is not None:
-                    out.extend((i, order, rule) for order, rule in found)
-                    continue
-                n = nodes[j]
-                child = edges.get((node, n.kind, n.label))
-                if child is not None:
-                    stack.append((child, j + 1))
-                child = edges.get((node, None, None))
-                if child is not None:
-                    stack.append((child, j + n.size))
+            t, rest = pending
+            child = edges.get((node, t.kind, t.label))
+            if child is not None:
+                stack.append((child, _queue(t.args, rest)))
+            child = edges.get((node, None, None))
+            if child is not None:
+                stack.append((child, rest))
         return out
+
+
+def _queue(args: tuple, rest):
+    """The linked list of ``args`` in order, followed by ``rest``."""
+    for arg in reversed(args):
+        rest = (arg, rest)
+    return rest
 
 
 def _preorder(term: Term) -> list[Term]:
@@ -218,6 +258,11 @@ def _replace_at(term: Term, position: int, replacement: Term) -> Term:
     return Term("app", term.label, None, tuple(args), term.sort)
 
 
+def _precedence(redex: tuple) -> tuple:
+    position, order, rule, _ = redex
+    return (-rule.hit_count, rule.insertion_index, order, position)
+
+
 def normalize(term: Term, ruleset: RuleSet) -> Term:
     """Rewrite to a fixpoint or the step cap.
 
@@ -229,16 +274,10 @@ def normalize(term: Term, ruleset: RuleSet) -> Term:
     if not ruleset.rules:
         return term
     for _ in range(NORMALIZE_STEP_CAP):
-        nodes = _preorder(term)
-        candidates = sorted(
-            ruleset.candidates(nodes),
-            key=lambda c: (-c[2].hit_count, c[2].insertion_index, c[1], c[0]))
-        for position, _, rule in candidates:
-            bindings = match(rule.lhs, nodes[position])
-            if bindings is not None:
-                break
-        else:
+        found = ruleset.redexes(term)
+        if not found:
             return term
+        position, _, rule, bindings = min(found, key=_precedence)
         term = _replace_at(term, position, substitute(rule.rhs, bindings))
         rule.hit_count += 1
     return term
@@ -250,9 +289,7 @@ def is_reducible(term: Term, ruleset: RuleSet) -> bool:
     Read-only probe: hit counts are not touched, so filter checks cannot
     perturb normalization order.
     """
-    nodes = _preorder(term)
-    return any(match(rule.lhs, nodes[position]) is not None
-               for position, _, rule in ruleset.candidates(nodes))
+    return bool(ruleset.redexes(term))
 
 
 def filter_passes(kind: str, lhs: Term, rhs: Term, ruleset: RuleSet) -> bool:
@@ -488,6 +525,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
     sizes: list[int] = []
 
     for _ in range(config.epochs):
+        ruleset.clear_memo()
         if spec.exhaustive_bool:
             envs = BOOL_WORLDS
         else:

@@ -363,7 +363,8 @@ def _linear_stats(model: str, params: dict, series: GrowthSeries):
     pred = predict(model, params, series.t)
     resid = series.n - pred
     rss = float(resid @ resid) if np.all(np.isfinite(resid)) else math.inf
-    ss_tot = float(np.sum((series.n - np.mean(series.n)) ** 2))
+    ss_tot = (float(np.sum((series.n - np.mean(series.n)) ** 2))
+              if len(series) else 0.0)
     if ss_tot > 0:
         r2 = 1.0 - rss / ss_tot
     else:

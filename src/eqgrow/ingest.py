@@ -102,10 +102,6 @@ def _glob_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + "".join(pieces) + "$")
 
 
-def glob_match(pattern: str, path: str) -> bool:
-    return _glob_regex(pattern).match(path) is not None
-
-
 # ---------------------------------------------------------------------------
 # Monthly aggregation
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ depth-3 trees fit to residuals, shrinkage 0.1, no subsampling.  Splits
 maximize variance reduction over every distinct threshold; ties break on the
 lowest feature index, then the lowest threshold, so a fit is a deterministic
 function of its inputs.
+
+X never changes within a fit, so ``fit_gbm`` sorts each column once: a
+stable argsort per feature and the sorted values.  A tree node is a boolean
+row mask; filtering a column's stable order by the mask gives exactly the
+stable argsort of the node's own rows, so the split search runs its
+cumulative sums in the same order as a per-node sort would and is
+bit-identical to it.  The search scores every boundary of every feature in
+one (features, rows) pass.
 """
 
 from __future__ import annotations
@@ -57,55 +65,67 @@ class _Node:
         return self.left is None
 
 
-def _best_split(X: np.ndarray, y: np.ndarray):
-    """Exact greedy split: (feature, threshold, gain) or None.
+def _best_split(order: np.ndarray, xs: np.ndarray, y: np.ndarray,
+                total: float, total_sq: float):
+    """Exact greedy split of one node: (feature, threshold, gain) or None.
 
-    Gain is the reduction in total squared error.  Candidate thresholds are
-    midpoints between consecutive distinct feature values.
+    ``order`` holds the node's rows sorted by each feature, stably, and
+    ``xs`` their feature values; ``total`` and ``total_sq`` sum the node's
+    targets and their squares.  Gain is the reduction in total squared
+    error.  Candidate thresholds are midpoints between consecutive distinct
+    feature values.
     """
-    n = len(y)
+    n = order.shape[1]
     if n < 2:
         return None
-    total = float(np.sum(y))
-    total_sq = float(np.sum(y * y))
     parent_sse = total_sq - total * total / n
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)[:, :-1]
+    csq = np.cumsum(ys * ys, axis=1)[:, :-1]
+    k = np.arange(1, n)  # left child sizes
+    left_sse = csq - csum ** 2 / k
+    rs = total - csum
+    rq = total_sq - csq
+    right_sse = rq - rs ** 2 / (n - k)
+    gains = parent_sse - (left_sse + right_sse)
+    gains[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
+    at = np.argmax(gains, axis=1)
     best = None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-        if len(boundary) == 0:
-            continue
-        k = boundary + 1  # left child sizes
-        left_sse = csq[boundary] - csum[boundary] ** 2 / k
-        rs = total - csum[boundary]
-        rq = total_sq - csq[boundary]
-        right_sse = rq - rs ** 2 / (n - k)
-        gains = parent_sse - (left_sse + right_sse)
-        i = int(np.argmax(gains))
-        gain = float(gains[i])
+    for f, (i, gain) in enumerate(zip(at.tolist(),
+                                      gains[np.arange(len(at)), at].tolist())):
         if gain > 1e-12 and (best is None or gain > best[2] + 1e-12):
-            threshold = 0.5 * (xs[boundary[i]] + xs[boundary[i] + 1])
+            threshold = 0.5 * (xs[f, i] + xs[f, i + 1])
             best = (f, float(threshold), gain)
     return best
 
 
-def _grow_tree(X: np.ndarray, residual: np.ndarray, depth: int) -> _Node:
-    node = _Node(value=float(np.mean(residual)))
-    if depth >= MAX_DEPTH:
-        return node
-    split = _best_split(X, residual)
+def _grow_tree(X: np.ndarray, residual: np.ndarray, rows: np.ndarray,
+               order: np.ndarray, xs: np.ndarray, depth: int,
+               fitted: np.ndarray) -> _Node:
+    """The tree over the rows in the mask ``rows``; ``order`` and ``xs`` are
+    the presorted columns restricted to them.  Writes each leaf's value into
+    ``fitted`` at its rows."""
+    node_y = residual[rows]
+    total = float(np.sum(node_y))
+    node = _Node(value=total / len(node_y))  # np.mean, bit for bit
+    split = (_best_split(order, xs, residual, total,
+                         float(np.sum(node_y * node_y)))
+             if depth < MAX_DEPTH else None)
     if split is None:
+        fitted[rows] = node.value
         return node
     f, threshold, _ = split
-    mask = X[:, f] <= threshold
     node.feature = f
     node.threshold = threshold
-    node.left = _grow_tree(X[mask], residual[mask], depth + 1)
-    node.right = _grow_tree(X[~mask], residual[~mask], depth + 1)
+
+    def child(mask):
+        keep = mask[order]  # the same number of rows in every feature's row
+        return _grow_tree(X, residual, rows & mask,
+                          order[keep].reshape(len(order), -1),
+                          xs[keep].reshape(len(order), -1), depth + 1, fitted)
+
+    goes_left = X[:, f] <= threshold
+    node.left, node.right = child(goes_left), child(~goes_left)
     return node
 
 
@@ -148,15 +168,20 @@ def fit_gbm(X, y, n_stages: int = N_STAGES) -> GbmModel:
         raise ValueError("targets must be finite")
     model = GbmModel(initial_prediction=float(np.mean(y)))
     current = np.full(len(y), model.initial_prediction)
+    # each column's stable argsort and sorted values, as (features, rows)
+    order = np.argsort(X, axis=0, kind="stable").T
+    xs = np.take_along_axis(X.T, order, axis=1)
+    every_row = np.ones(len(y), dtype=bool)
+    fitted = np.empty(len(y))
     for _ in range(n_stages):
         residual = y - current
         model.train_mse_path.append(float(np.mean(residual ** 2)))
         if np.max(np.abs(residual)) < 1e-12:
             break
-        tree = _grow_tree(X, residual, 0)
+        tree = _grow_tree(X, residual, every_row, order, xs, 0, fitted)
         if tree.is_leaf and abs(tree.value) < 1e-15:
             break
-        current = current + LEARNING_RATE * _tree_predict(tree, X)
+        current = current + LEARNING_RATE * fitted
         model.trees.append(tree)
     return model
 

@@ -222,7 +222,14 @@ class AnalysisReport:
 
 def analyze(records: list[dict], windows=DEFAULT_WINDOWS,
             models=DEFAULT_MODELS) -> AnalysisReport:
-    """Per-trajectory exponents plus AIC winners at each window prefix."""
+    """Per-trajectory exponents plus AIC winners at each window prefix.
+
+    A window is a number of leading epochs, at least 1; a window longer
+    than a trajectory skips it.
+    """
+    for w in windows:
+        if w < 1:
+            raise ValueError(f"window {w} is below 1")
     good = [r for r in records if "error" not in r]
     if not good:
         raise ValueError("no trajectories to analyze")

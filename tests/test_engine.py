@@ -277,6 +277,22 @@ def test_normalize_matches_linear_scan(problem):
     assert is_reducible(got, rs) == (_reference_redex(want, scanned) is not None)
 
 
+def test_redex_memo_is_dropped_when_a_rule_is_added():
+    rs = ruleset(rule(ARITH, "(* A 1)", "A", 0))
+    term = parse_term(ARITH, "(+ (* (+ x 0) 1) y)")
+    first = normalize(term, rs)
+    assert first.text == "(+ (+ x 0) y)"
+    assert not is_reducible(first, rs)  # (+ x 0) is memoized without redexes
+    rs.add(rule(ARITH, "(+ A 0)", "A", 1))
+    replay = ruleset(*(Rule(r.lhs, r.rhs, r.hit_count, r.insertion_index)
+                       for r in rs.rules))
+    assert is_reducible(first, rs)
+    got = normalize(term, rs)
+    want = normalize(term, replay)
+    assert got == want and got.text == "(+ x y)"
+    assert [r.hit_count for r in rs.rules] == [r.hit_count for r in replay.rules]
+
+
 # ---------------------------------------------------------------------------
 # filters
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,8 +65,11 @@ def test_empty_series_is_refused_but_flat_in_log_fit(model):
     empty = series_from_sizes([])
     with pytest.raises(SeriesError, match="empty series"):
         fit_model(model, empty)
-    fit = fit_power_law(empty)
-    assert fit.degenerate and fit.params["b"] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_power_law(empty)
+    assert fit.degenerate and fit.params == {"a": 0.0, "b": 0.0}
+    assert (fit.r2, fit.rss) == (1.0, 0.0)
 
 
 def test_three_point_library_size_fixture():

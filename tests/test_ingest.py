@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eqgrow.ingest import (
-    CommitRecord, LogParseError, format_log, glob_match, monthly_series,
+    CommitRecord, LogParseError, format_log, monthly_series,
     parse_log, write_monthly_csv,
 )
 
@@ -74,13 +74,19 @@ def test_new_files_single_segment_glob_not_recursive():
 
 
 def test_glob_semantics():
-    assert glob_match("Mathlib/**/*.lean", "Mathlib/A/B/C.lean")
-    assert glob_match("Mathlib/**/*.lean", "Mathlib/Top.lean")
-    assert not glob_match("Mathlib/*.lean", "Mathlib/A/B.lean")
-    assert glob_match("Mathlib/*.lean", "Mathlib/Top.lean")
-    assert not glob_match("Mathlib/**/*.lean", "Other/Top.lean")
-    assert glob_match("**/*.py", "a/b/c.py")
-    assert glob_match("*.py", "c.py")
+    cases = [
+        ("Mathlib/**/*.lean", "Mathlib/A/B/C.lean", True),
+        ("Mathlib/**/*.lean", "Mathlib/Top.lean", True),
+        ("Mathlib/*.lean", "Mathlib/A/B.lean", False),
+        ("Mathlib/*.lean", "Mathlib/Top.lean", True),
+        ("Mathlib/**/*.lean", "Other/Top.lean", False),
+        ("**/*.py", "a/b/c.py", True),
+        ("*.py", "c.py", True),
+    ]
+    for pattern, path, matches in cases:
+        records = [CommitRecord("abc", "2021-05", [path])]
+        series = monthly_series(records, mode="new_files", glob=pattern)
+        assert series.increments == [int(matches)], (pattern, path)
 
 
 def test_permutation_invariance():

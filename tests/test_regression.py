@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqgrow.regression import (
-    build_features, fit_gbm, kfold_cv, pooled_eval,
-    transfer_eval,
+    LEARNING_RATE, MAX_DEPTH, _Node, _tree_predict, build_features, fit_gbm,
+    kfold_cv, pooled_eval, transfer_eval,
 )
 
 
@@ -155,3 +156,118 @@ def test_pooled_domain_feature_explains_shift():
     assert pooled.r2_mean > 0.9
     ablated = pooled_eval(rows, y, folds=5, include_domain=False)
     assert pooled.r2_mean > ablated.r2_mean
+
+
+# ---------------------------------------------------------------------------
+# presorted split search against a per-node, per-feature sort
+# ---------------------------------------------------------------------------
+
+def _reference_best_split(X, y):
+    """Sort the node's rows by each feature in turn and scan its boundaries."""
+    n = len(y)
+    if n < 2:
+        return None
+    total = float(np.sum(y))
+    total_sq = float(np.sum(y * y))
+    parent_sse = total_sq - total * total / n
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        boundary = np.nonzero(xs[:-1] < xs[1:])[0]
+        if len(boundary) == 0:
+            continue
+        k = boundary + 1
+        left_sse = csq[boundary] - csum[boundary] ** 2 / k
+        rs = total - csum[boundary]
+        rq = total_sq - csq[boundary]
+        right_sse = rq - rs ** 2 / (n - k)
+        gains = parent_sse - (left_sse + right_sse)
+        i = int(np.argmax(gains))
+        gain = float(gains[i])
+        if gain > 1e-12 and (best is None or gain > best[2] + 1e-12):
+            threshold = 0.5 * (xs[boundary[i]] + xs[boundary[i] + 1])
+            best = (f, float(threshold), gain)
+    return best
+
+
+def _reference_grow_tree(X, residual, depth):
+    node = _Node(value=float(np.mean(residual)))
+    if depth >= MAX_DEPTH:
+        return node
+    split = _reference_best_split(X, residual)
+    if split is None:
+        return node
+    f, threshold, _ = split
+    mask = X[:, f] <= threshold
+    node.feature = f
+    node.threshold = threshold
+    node.left = _reference_grow_tree(X[mask], residual[mask], depth + 1)
+    node.right = _reference_grow_tree(X[~mask], residual[~mask], depth + 1)
+    return node
+
+
+def _reference_fit_trees(X, y, n_stages):
+    current = np.full(len(y), float(np.mean(y)))
+    trees = []
+    for _ in range(n_stages):
+        residual = y - current
+        if np.max(np.abs(residual)) < 1e-12:
+            break
+        tree = _reference_grow_tree(X, residual, 0)
+        if tree.is_leaf and abs(tree.value) < 1e-15:
+            break
+        current = current + LEARNING_RATE * _tree_predict(tree, X)
+        trees.append(tree)
+    return trees, current
+
+
+def _tree_bits(node):
+    """(feature, threshold, value) of every node in preorder, as exact bits."""
+    out = [(node.feature, np.float64(node.threshold).tobytes(),
+            np.float64(node.value).tobytes())]
+    if not node.is_leaf:
+        out += _tree_bits(node.left) + _tree_bits(node.right)
+    return out
+
+
+@st.composite
+def boosting_problems(draw):
+    """X with few distinct values per column (ties), some constant and
+    duplicated columns, and noise on some; y continuous or on a few levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, f = draw(st.integers(10, 120)), draw(st.integers(1, 11))
+    X = rng.integers(0, draw(st.integers(1, 6)), size=(n, f)).astype(float)
+    X += rng.standard_normal((n, f)) * (rng.random(f) < 0.3)
+    if f > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    if draw(st.booleans()):
+        X[:, rng.integers(f)] = 2.5
+    if draw(st.booleans()):
+        y = rng.standard_normal(n)
+    else:
+        y = rng.integers(0, 3, n).astype(float)
+    return X, y, draw(st.integers(1, 25))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=boosting_problems())
+def test_presorted_split_search_is_bitwise_the_per_node_sort(problem):
+    X, y, n_stages = problem
+    model = fit_gbm(X, y, n_stages=n_stages)
+    trees, fitted = _reference_fit_trees(X, y, n_stages)
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
+    assert np.array_equal(model.predict(X), fitted)
+
+
+def test_presorted_split_search_on_the_synthetic_grid():
+    rows = synthetic_rows(domains=("arith", "list"), seeds=(0, 1))
+    X = build_features(rows, include_domain=True)
+    y = additive_targets(rows, noise=0.05)
+    model = fit_gbm(X, y)
+    trees, fitted = _reference_fit_trees(X, y, 200)
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
+    assert np.array_equal(model.predict(X), fitted)

@@ -233,6 +233,15 @@ def test_analyze_window_schedule_skips_long_windows():
     assert set(report.window_winners) == {30}
 
 
+@pytest.mark.parametrize("window", [0, -5])
+def test_analyze_refuses_windows_below_one(window):
+    record = {"domain": "arith", "generator": "random", "filter": "any",
+              "depth": 3, "batch_size": 40, "seed": 0, "epochs": 30,
+              "sizes": list(range(1, 31))}
+    with pytest.raises(ValueError, match=f"window {window} is below 1"):
+        analyze([record], windows=(30, window))
+
+
 def test_pipeline_byte_identical(tmp_path):
     """sweep -> analyze -> csv twice from the same seeds is byte-identical."""
     from eqgrow.report import write_domain_table_csv, write_exponents_csv
@@ -371,6 +380,17 @@ def test_cli_sweep_analyze_pipeline(tmp_path, capsys):
     assert main(["report", str(out_dir), "--format", "svg",
                  "--trajectories", str(out)]) == 0
     assert (out_dir / "trajectories.svg").exists()
+
+
+@pytest.mark.parametrize("window", ["-5", "0"])
+def test_cli_analyze_window_below_one_is_data_error(tmp_path, capsys, window):
+    out = tmp_path / "t.jsonl"
+    run_sweep(SMALL_PLAN, out)
+    out_dir = tmp_path / "analysis"
+    assert main(["analyze", str(out), "--out-dir", str(out_dir),
+                 "--windows", "10", window]) == 2
+    assert f"window {window} is below 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_rules_dir_reuses_the_sweep_run(tmp_path, monkeypatch, capsys):
