@@ -13,13 +13,18 @@ linearly.  They are fitted by variable projection (Golub & Pereyra 1973):
 at every theta the best a is solved in closed form, a* = g.n / g.g, and a
 damped Gauss-Newton loop with the exact Jacobian of a* * g searches theta
 alone, which has at most two entries.  a > 0 is kept explicitly.  The loop
-runs on a stack of rows at once: all the starts of one fit's multi-start
-grid, or all the resamples of a bootstrap.  Each row keeps its own
+runs on a stack of rows at once, each row tagged with its family: a model
+selection or forecast polishes the power law from its closed-form log-log
+fit, then solves every start of every other scaled family it names in one
+stack, and a bootstrap solves all its resamples in one.  fit_model is the
+same two solves for one family.  Each row keeps its own
 Levenberg-Marquardt damping and its own budget of MAX_ITER accepted steps,
-and a row that spends them is not converged; the 1x1 or 2x2 damped system
-of each row is solved in closed form, and a pass evaluates only the rows
-still running.  The power law starts from its closed-form log-log fit; the
-line is fitted in closed form.
+and a row that spends them is not converged; each pass evaluates a
+family's shape on its own rows and everything else once over the stack,
+with row-wise reductions, so a row's arithmetic does not depend on the
+rows beside it.  The 1x1 or 2x2 damped system of each row is solved in
+closed form, and a pass evaluates only the rows still running.  The line
+is fitted in closed form.
 
 stretched_exp keeps tau inside t[0] / TAU_BOX <= tau <= TAU_BOX * t[-1],
 and x = (t/tau)^beta at or above X_MIN at t[0].  On flat data tau otherwise
@@ -31,7 +36,9 @@ convex series, where beta is large and TAU_BOX alone leaves x near 1e-14.
 A parameter that reaches its bound stays there while the others go on.
 A log_normal fit whose whole series lies in the CDF's far left tail
 (Phi < X_MIN at t[-1]) is flagged degenerate: a, m and s are not
-identified there.
+identified there.  A log_normal row stops, converged, at its first point
+in that tail; on power-law data it would otherwise run hundreds of steps on
+toward a ~ 1e161, flagged all the same.
 
 All models report residuals, AIC, and BIC in linear space over the full
 series so they are directly comparable.
@@ -231,9 +238,10 @@ def _box(model: str, theta: np.ndarray, t: np.ndarray):
     return np.array([t[0] / TAU_BOX, -math.inf]), hi
 
 
-def _clip(model: str, theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    box = _box(model, theta, t)
-    return theta if box is None else np.clip(theta, *box)
+def _far_tail(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per log_normal row (m, s): the whole series lies in the CDF's far
+    left tail, Phi((ln t[-1] - m) / s) < X_MIN."""
+    return ndtr((math.log(t[-1]) - theta[:, 0]) / theta[:, 1]) < X_MIN
 
 
 def _start_points(model: str, t: np.ndarray, power_b: float | None) -> list[tuple]:
@@ -249,20 +257,53 @@ def _start_points(model: str, t: np.ndarray, power_b: float | None) -> list[tupl
     return [(m0, s) for s in (0.5, 1.0, 2.0)]
 
 
-def _evaluate(model: str, theta: np.ndarray, t: np.ndarray, n: np.ndarray):
+def _families(models: list, family: np.ndarray) -> list[tuple]:
+    """(model, rows) for each block of the stack that still has rows, rows
+    being a slice; family, each row's block index, is sorted.  An empty
+    stack keeps its first block, so its arrays keep their shapes."""
+    edges = np.searchsorted(family, np.arange(len(models) + 1))
+    parts = [(m, slice(lo, hi)) for m, lo, hi in zip(models, edges[:-1], edges[1:])
+             if lo < hi]
+    return parts or [(models[0], slice(0, 0))]
+
+
+def _clip_into_boxes(parts: list, theta: np.ndarray, t: np.ndarray) -> list[tuple]:
+    """Clip theta, in place, into the bounds of each bounded family's rows,
+    and return those bounds as (rows, lo, hi).  The bounds depend only on
+    beta, which the clip leaves as it is, so they hold at the clipped theta
+    too."""
+    boxes = []
+    for model, rows in parts:
+        bounds = _box(model, theta[rows], t)
+        if bounds is not None:
+            np.clip(theta[rows], *bounds, out=theta[rows])
+            boxes.append((rows, *bounds))
+    return boxes
+
+
+def _stacked(arrays) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _evaluate(parts: list, theta: np.ndarray, boxes: list, t: np.ndarray, n: np.ndarray):
     """Per row at theta: a*, the rss (inf where the row is infeasible or not
     finite), whether the Jacobian of a* * g is finite, and the normal
-    equations.  No (S, T) array outlives the call."""
-    g, dg = _shape(model, theta, t)
+    equations.  g and dg/dtheta come from each family's own slice; the rest
+    runs once over the stack.  No (S, T) array outlives the call."""
+    shapes = [_shape(model, theta[rows], t) for model, rows in parts]
+    g = _stacked([shape[0] for shape in shapes])
+    dg = tuple(_stacked(column) for column in zip(*(shape[1] for shape in shapes)))
     a, jac = _project(g, dg, n)
     resid = n - a[:, None] * g
     rss = _dot(resid, resid)
-    rss[~(_feasible(model, theta, a) & np.isfinite(rss))] = math.inf
+    for model, rows in parts:
+        rss[rows][~_feasible(model, theta[rows], a[rows])] = math.inf
+    rss[~np.isfinite(rss)] = math.inf
     finite = np.all([np.isfinite(j).all(axis=1) for j in jac], axis=0)
-    return a, rss, finite, _normal_equations(model, theta, t, resid, jac)
+    return a, rss, finite, _normal_equations(theta, boxes, resid, jac)
 
 
-def _normal_equations(model: str, theta, t, resid, jac):
+def _normal_equations(theta, boxes, resid, jac):
     """Per row: the gradient J'r, the Gauss-Newton matrix J'J, and the
     damping diagonal.  A parameter on its bound that descent would push out
     stays there: its Jacobian column and its gradient entry go to 0."""
@@ -273,12 +314,11 @@ def _normal_equations(model: str, theta, t, resid, jac):
         grad[:, i] = _dot(jac[i], resid)
         for j in range(i, p):
             hess[:, i, j] = hess[:, j, i] = _dot(jac[i], jac[j])
-    box = _box(model, theta, t)
-    if box is not None:
-        lo, hi = box
-        free = ~(((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0)))
-        grad *= free
-        hess = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    for rows, lo, hi in boxes:
+        bounded, slope = theta[rows], grad[rows]
+        free = ~(((bounded <= lo) & (slope < 0)) | ((bounded >= hi) & (slope > 0)))
+        slope *= free
+        hess[rows] = np.where(free[:, :, None] & free[:, None, :], hess[rows], 0.0)
     diag = np.diagonal(hess, axis1=1, axis2=2).copy()
     diag[diag <= 0] = 1.0
     return grad, hess, diag
@@ -301,23 +341,34 @@ def _damped_step(grad, hess, diag, lam):
     return step, det != 0
 
 
-def _gauss_newton(model: str, theta0, t: np.ndarray, n: np.ndarray):
+def _gauss_newton(blocks, t: np.ndarray, n: np.ndarray):
     """Damped least squares over theta for a stack of rows, with a projected
-    out at every point.  Row i starts from theta0[i] (theta0 is (S, p)) and
-    fits n, or n[i] when n is (S, T).  Returns theta (S, p), a, rss and
-    converged, one value per row.
+    out at every point.  blocks is a sequence of (model, theta0), theta0 an
+    (S_k, p) array of starts, p the same in every block; its rows are
+    stacked in order, and row i fits n, or n[i] when n is (S, T).  Returns
+    theta (S, p), a, rss and converged, one value per row of the stack.
 
     Each row runs its own Levenberg-Marquardt schedule on lambda and has
     MAX_ITER accepted steps.  It converges when a step improves its rss by
     less than RSS_REL_TOL relatively, or when no feasible step improves it
     at all (lambda passes 1e12); a row that spends its budget, or whose
-    Jacobian is not finite, does not.  Each pass solves and evaluates only
-    the rows still running: a finished row leaves the working arrays.
+    Jacobian is not finite, does not.  A log_normal row also stops,
+    converged, at the first accepted point in the far tail (_far_tail): it
+    is flagged degenerate there, and would run on for hundreds of steps
+    toward a ~ 1e161.  Each pass evaluates every family's shape on its own
+    rows, then solves and evaluates the running rows of the whole stack at
+    once; a finished row leaves the working arrays.  Every reduction is
+    per row, so a row's arithmetic does not depend on the rest of the stack.
     """
     budget = MAX_ITER
+    models = [model for model, _ in blocks]
+    starts = [np.asarray(theta0, dtype=float) for _, theta0 in blocks]
+    family = np.repeat(np.arange(len(blocks)), [len(s) for s in starts])
     with np.errstate(all="ignore"):
-        theta = _clip(model, np.array(theta0, dtype=float), t)
-        a, rss, finite, (grad, hess, diag) = _evaluate(model, theta, t, n)
+        parts = _families(models, family)
+        theta = np.concatenate(starts)
+        boxes = _clip_into_boxes(parts, theta, t)
+        a, rss, finite, (grad, hess, diag) = _evaluate(parts, theta, boxes, t, n)
         converged = np.zeros(len(theta), dtype=bool)
         # the running rows (suffix _r): their index into the stack and state
         ids = np.flatnonzero(np.isfinite(rss) & finite & (budget > 0))
@@ -326,10 +377,12 @@ def _gauss_newton(model: str, theta0, t: np.ndarray, n: np.ndarray):
         data = n[ids] if n.ndim == 2 and len(ids) < len(n) else n
         lam = np.full(len(ids), 1e-3)
         steps = np.zeros(len(ids), dtype=int)
+        parts = _families(models, family[ids])
         while len(ids):
             step, solvable = _damped_step(grad, hess, diag, lam)
-            theta_new = _clip(model, theta_r + step, t)
-            a_new, rss_new, finite, equations = _evaluate(model, theta_new, t, data)
+            theta_new = theta_r + step
+            boxes = _clip_into_boxes(parts, theta_new, t)
+            a_new, rss_new, finite, equations = _evaluate(parts, theta_new, boxes, t, data)
             # a singular system or a step that does not lower the rss
             # raises lambda; past 1e12 no step improves, so the row is done
             better = solvable & (rss_new < rss_r)
@@ -340,18 +393,23 @@ def _gauss_newton(model: str, theta0, t: np.ndarray, n: np.ndarray):
             grad[better], hess[better], diag[better] = (x[better] for x in equations)
             lam = np.where(better, np.maximum(lam / 10.0, 1e-14), lam * 10.0)
             steps += better
-            done = np.where(better, improvement < RSS_REL_TOL, lam > 1e12)
+            finished = improvement < RSS_REL_TOL
+            for model, rows in parts:
+                if model == "log_normal":
+                    finished[rows] |= _far_tail(theta_new[rows], t)
+            done = np.where(better, finished, lam > 1e12)
             stop = done | (better & ((steps >= budget) | ~finite))
             if stop.any():
-                finished = ids[stop]
-                theta[finished], a[finished], rss[finished] = theta_r[stop], a_r[stop], rss_r[stop]
-                converged[finished] = done[stop]
+                out = ids[stop]
+                theta[out], a[out], rss[out] = theta_r[stop], a_r[stop], rss_r[stop]
+                converged[out] = done[stop]
                 keep = ~stop
                 ids, theta_r, a_r, rss_r = ids[keep], theta_r[keep], a_r[keep], rss_r[keep]
                 grad, hess, diag = grad[keep], hess[keep], diag[keep]
                 lam, steps = lam[keep], steps[keep]
                 if n.ndim == 2:
                     data = data[keep]
+                parts = _families(models, family[ids])
     return theta, a, rss, converged
 
 
@@ -439,47 +497,18 @@ def _saturating_degenerate(params: dict) -> bool:
 def _log_normal_degenerate(params: dict, t: np.ndarray) -> bool:
     """The whole series lies in the CDF's far left tail, where a, m and s
     are not identified (the fit runs off to a ~ 1e161 on power-law data)."""
-    return ndtr((math.log(t[-1]) - params["m"]) / params["s"]) < X_MIN
+    return bool(_far_tail(np.array([[params["m"], params["s"]]]), t)[0])
 
 
-def fit_model(model: str, series: GrowthSeries,
-              start_override: dict | None = None, *,
-              _power_b: float | None = None) -> FitResult:
-    """Fit one model in linear space; the scaled families multi-start, all
-    starts in one batched solve.
-
-    The power law starts from the closed-form log fit's exponent and is
-    then polished in linear space so its residuals are comparable with the
-    other families' (use fit_power_law directly for the log-OLS exponent).
-    ``start_override`` gives the one start by name; only theta is read.
-    ``_power_b`` is the caller's own polished power-law exponent, which
-    seeds saturating_pl's (b, 0) start instead of a second power-law fit.
-    """
-    if not len(series):
-        raise SeriesError(f"cannot fit {model} to an empty series")
-    if model == "linear":
-        return _fit_linear(series)
-    t, n = series.t, series.n
+def _best_fit(model: str, series: GrowthSeries, starts: list, theta, a, rss, converged,
+              log_r2: float | None = None) -> FitResult:
+    """The fit from one family's rows of a solve: the converged row of least
+    rss, or the first start with its projected scale when none converged."""
     names = PARAM_NAMES[model]
-    log_fit = None
-    if model == "power_law":
-        log_fit = fit_power_law(series)
-        if log_fit.degenerate:
-            return log_fit
-    if start_override is not None:
-        starts = [_theta(model, start_override)]
-    elif model == "power_law":
-        starts = [(log_fit.params["b"],)]
-    else:
-        if model == "saturating_pl" and _power_b is None:
-            _power_b = fit_model("power_law", series).params["b"]
-        starts = _start_points(model, t, _power_b)
-    theta, a, rss, converged = _gauss_newton(model, starts, t, n)
     if not converged.any():
-        if log_fit is not None:
-            return log_fit
         with np.errstate(all="ignore"):
-            a0, _ = _project(*_shape(model, np.array(starts[:1], dtype=float), t), n)
+            a0, _ = _project(*_shape(model, np.array(starts[:1], dtype=float), series.t),
+                             series.n)
         params = dict(zip(names, (float(a0[0]), *starts[0])))
         return FitResult(model, params, math.inf, -math.inf, math.inf, math.inf,
                          converged=False, degenerate=True,
@@ -490,27 +519,61 @@ def fit_model(model: str, series: GrowthSeries,
     rss, r2 = _linear_stats(model, params, series)
     aic, bic = _information(rss, len(series), len(names))
     degenerate = (_saturating_degenerate(params) if model == "saturating_pl"
-                  else _log_normal_degenerate(params, t) if model == "log_normal"
+                  else _log_normal_degenerate(params, series.t) if model == "log_normal"
                   else False)
     return FitResult(model, params, rss, r2, aic, bic,
                      converged=True, degenerate=degenerate,
                      start_point=dict(zip(names[1:], starts[best])),
-                     log_r2=log_fit.log_r2 if log_fit else None, n_points=len(series))
+                     log_r2=log_r2, n_points=len(series))
+
+
+def _fit_power(series: GrowthSeries) -> FitResult:
+    """The closed-form log-log fit, polished in linear space as one solver
+    row so that its residuals compare with the other families'.  The log
+    fit stands in where it is degenerate or the polish does not converge."""
+    log_fit = fit_power_law(series)
+    if log_fit.degenerate:
+        return log_fit
+    starts = [(log_fit.params["b"],)]
+    theta, a, rss, converged = _gauss_newton([("power_law", starts)], series.t, series.n)
+    if not converged[0]:
+        return log_fit
+    return _best_fit("power_law", series, starts, theta, a, rss, converged,
+                     log_r2=log_fit.log_r2)
 
 
 def _fit_each(series: GrowthSeries, models) -> list[FitResult]:
-    """One fit per model, in order.  A power-law fit among them also seeds
-    saturating_pl's (b, 0) start, so the power law is fitted once."""
-    power = fit_model("power_law", series) if "power_law" in models else None
-    fits = []
-    for m in models:
-        if m == "power_law":
-            fits.append(power)
-        elif m == "saturating_pl" and power is not None:
-            fits.append(fit_model(m, series, _power_b=power.params["b"]))
-        else:
-            fits.append(fit_model(m, series))
-    return fits
+    """One fit per model, in order, from at most two solves.  The power law
+    comes first, as a candidate and as the seed of saturating_pl's (b, 0)
+    start; every start of every other scaled family is then a row of one
+    stacked solve, and the line is fitted in closed form."""
+    if not len(series):
+        raise SeriesError(f"cannot fit {models[0]} to an empty series")
+    t, n = series.t, series.n
+    power = (_fit_power(series) if "power_law" in models or "saturating_pl" in models
+             else None)
+    stacked = [m for m in models if m not in ("power_law", "linear")]
+    starts = [_start_points(m, t, power.params["b"] if power else None) for m in stacked]
+    scaled = []
+    if stacked:
+        solved = _gauss_newton(list(zip(stacked, starts)), t, n)
+        edges = np.cumsum([0] + [len(s) for s in starts])
+        scaled = [_best_fit(m, series, s, *(x[lo:hi] for x in solved))
+                  for m, s, lo, hi in zip(stacked, starts, edges[:-1], edges[1:])]
+    scaled = iter(scaled)
+    return [power if m == "power_law" else _fit_linear(series) if m == "linear"
+            else next(scaled) for m in models]
+
+
+def fit_model(model: str, series: GrowthSeries) -> FitResult:
+    """Fit one model in linear space: the selection's solves for one family,
+    every start of a scaled family's multi-start grid a row of one solve.
+
+    The power law starts from the closed-form log fit's exponent and is
+    then polished in linear space so its residuals are comparable with the
+    other families' (use fit_power_law directly for the log-OLS exponent).
+    """
+    return _fit_each(series, (model,))[0]
 
 
 def select_model(series: GrowthSeries, models=DEFAULT_MODELS) -> list[FitResult]:
@@ -566,7 +629,7 @@ def bootstrap_ci(model: str, series: GrowthSeries, n_resamples: int = 500,
         converged = np.ones(n_resamples, dtype=bool)
     else:
         theta0 = np.repeat([_theta(model, base.params)], n_resamples, axis=0)
-        theta, a, _, converged = _gauss_newton(model, theta0, t, synthetic)
+        theta, a, _, converged = _gauss_newton([(model, theta0)], t, synthetic)
         values = np.column_stack([a, theta])
         if model == "power_law":
             # as in fit_model: the log-OLS fit stands in for a degenerate

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from eqgrow import growth
 from eqgrow.growth import (
@@ -223,12 +224,30 @@ def test_log_normal_far_tail_flagged_degenerate():
         assert fit.converged and fit.degenerate == degenerate, fit.params
 
 
+def test_log_normal_stops_in_the_far_tail(monkeypatch):
+    # each row stops at its first point in the far tail; run on to
+    # convergence, the three starts took 615 solver passes in all
+    passes = []
+    original = growth._shape
+
+    def counting(model, theta, t):
+        passes.append(model)
+        return original(model, theta, t)
+
+    monkeypatch.setattr(growth, "_shape", counting)
+    clean = GrowthSeries(T200, predict("power_law", FAMILY_PARAMS["power_law"], T200))
+    fit = fit_model("log_normal", clean)
+    assert fit.converged and fit.degenerate
+    # 77 here: the first evaluation, 75 passes, and one in predict
+    assert passes.count("log_normal") <= 150
+
+
 # ---------------------------------------------------------------------------
 # batched solver against the per-start loop it replaced
 # ---------------------------------------------------------------------------
 
 def scalar_gauss_newton(model, theta0, t, n):
-    """The per-start damped Gauss-Newton loop, kept as the batched solver's
+    """The per-start damped Gauss-Newton loop, kept as the stacked solver's
     reference: one start at a time, with np.linalg.solve and BLAS dots."""
     def evaluate(theta):
         g, dg = growth._shape(model, theta[None], t)
@@ -286,13 +305,17 @@ def scalar_gauss_newton(model, theta0, t, n):
             lam = max(lam / 10.0, 1e-14)
             if improvement < growth.RSS_REL_TOL:
                 return theta, a, rss, True
+            if model == "log_normal" and ndtr((math.log(t[-1]) - theta[0]) / theta[1]) < X_MIN:
+                return theta, a, rss, True
     return theta, a, rss, False
 
 
-def looped_gauss_newton(model, theta0, t, n):
-    """scalar_gauss_newton row by row, behind the batched solver's signature."""
+def looped_gauss_newton(blocks, t, n):
+    """scalar_gauss_newton row by row, behind the stacked solver's signature."""
+    starts = [(model, theta) for model, theta0 in blocks
+              for theta in np.asarray(theta0, dtype=float)]
     rows = [scalar_gauss_newton(model, theta, t, n[i] if n.ndim == 2 else n)
-            for i, theta in enumerate(np.asarray(theta0, dtype=float))]
+            for i, (model, theta) in enumerate(starts)]
     theta, a, rss, converged = zip(*rows)
     return np.array(theta), np.array(a), np.array(rss), np.array(converged)
 
@@ -316,8 +339,8 @@ def test_batched_solver_matches_scalar_reference(family, length, monkeypatch):
         # (b, 0) seed from the polished power law
         starts = np.array([(fit_power_law(series).params["b"],)] if model == "power_law"
                           else growth._start_points(model, t, power_b), dtype=float)
-        theta, a, rss, converged = growth._gauss_newton(model, starts, t, series.n)
-        _, _, ref_rss, ref_converged = looped_gauss_newton(model, starts, t, series.n)
+        theta, a, rss, converged = growth._gauss_newton([(model, starts)], t, series.n)
+        _, _, ref_rss, ref_converged = looped_gauss_newton([(model, starts)], t, series.n)
         assert converged.tolist() == ref_converged.tolist(), model
         if not converged.any():
             continue
@@ -373,19 +396,26 @@ def test_select_monthly_commit_style_series():
     assert wins >= 7
 
 
+def counting_solves(monkeypatch):
+    """The families of each solver call, in call order."""
+    calls = []
+    original = growth._gauss_newton
+
+    def counting(blocks, t, n):
+        calls.append([model for model, _ in blocks])
+        return original(blocks, t, n)
+
+    monkeypatch.setattr(growth, "_gauss_newton", counting)
+    return calls
+
+
 def test_select_fits_power_law_once(monkeypatch):
     series = noisy("saturating_pl", FAMILY_PARAMS["saturating_pl"], T200, 1)
     alone = fit_model("saturating_pl", series)
-    calls = []
-    original = growth.fit_model
-
-    def counting(model, *args, **kwargs):
-        calls.append(model)
-        return original(model, *args, **kwargs)
-
-    monkeypatch.setattr(growth, "fit_model", counting)
+    calls = counting_solves(monkeypatch)
     ranked = select_model(series, DEFAULT_MODELS)
-    assert sorted(calls) == sorted(DEFAULT_MODELS)
+    # the power-law polish, then one solve over every other family's starts
+    assert calls == [["power_law"], ["stretched_exp", "saturating_pl"]]
     # the reused exponent seeds the same (b, 0) start as a fit of its own
     assert next(f for f in ranked if f.model == "saturating_pl").params == alone.params
 
@@ -394,19 +424,33 @@ def test_forecast_fits_each_family_once(monkeypatch):
     series = noisy("saturating_pl", FAMILY_PARAMS["saturating_pl"], T200, 2)
     prefix = series.prefix(100)
     alone = {m: fit_model(m, prefix) for m in DEFAULT_MODELS}
-    calls = []
-    original = growth.fit_model
-
-    def counting(model, *args, **kwargs):
-        calls.append(model)
-        return original(model, *args, **kwargs)
-
-    monkeypatch.setattr(growth, "fit_model", counting)
+    calls = counting_solves(monkeypatch)
     results = oos_forecast(series, 100, DEFAULT_MODELS)
-    assert sorted(calls) == sorted(DEFAULT_MODELS)
+    assert calls == [["power_law"], ["stretched_exp", "saturating_pl"]]
     assert [r.model for r in results] == list(DEFAULT_MODELS)
     for r in results:
         assert r.fit.params == alone[r.model].params
+
+
+def bitwise(fit):
+    # repr round-trips every float exactly, and tells numpy scalars apart
+    return repr(vars(fit))
+
+
+@pytest.mark.parametrize("length", [30, 60, 200])
+@pytest.mark.parametrize("family", MODELS + ("flat",))
+def test_stacked_fits_equal_fits_of_their_own(family, length):
+    # "flat" stays below 1, so its log-log power law is degenerate (b = 0)
+    # and seeds saturating_pl's (0, 0) start without a polish
+    t = np.arange(1, length + 1, dtype=float)
+    series = (GrowthSeries(t, np.full(length, 0.5)) if family == "flat"
+              else noisy(family, FAMILY_PARAMS[family], t, seed=length + 1))
+    alone = {m: bitwise(fit_model(m, series)) for m in MODELS}
+    assert sorted(bitwise(f) for f in select_model(series, MODELS)) == sorted(alone.values())
+    split = length // 2
+    prefix_alone = {m: bitwise(fit_model(m, series.prefix(split))) for m in MODELS}
+    for r in oos_forecast(series, split, MODELS):
+        assert bitwise(r.fit) == prefix_alone[r.model], r.model
 
 
 def test_nonconverged_ranks_last():
@@ -449,8 +493,8 @@ def test_bootstrap_negative_mu_marks_degenerate():
 
 
 def per_resample_bootstrap(model, series, n_resamples, seed):
-    """bootstrap_ci as one fit_model refit per resample: the reference for
-    the batched refits."""
+    """bootstrap_ci as one single-row solve per resample, from the base
+    fit's shape parameters: the reference for the stacked refits."""
     base = fit_model(model, series)
     fitted = base.predict(series.t)
     resid = series.n - fitted
@@ -458,10 +502,19 @@ def per_resample_bootstrap(model, series, n_resamples, seed):
     draws, failed = [], 0
     for _ in range(n_resamples):
         idx = rng.integers(0, len(series), size=len(series))
-        refit = fit_model(model, GrowthSeries(series.t, np.clip(fitted + resid[idx], 0.0, None)),
-                          start_override=base.params)
-        if refit.converged:
-            draws.append([refit.params[name] for name in PARAM_NAMES[model]])
+        row = np.clip(fitted + resid[idx], 0.0, None)
+        start = [tuple(base.params[name] for name in PARAM_NAMES[model][1:])]
+        theta, a, _, converged = growth._gauss_newton([(model, start)], series.t, row)
+        params = [a[0], *theta[0]]
+        if model == "power_law":
+            # the log-OLS fit stands in for a degenerate series or an
+            # unconverged polish, as in fit_model
+            log_fit = fit_power_law(GrowthSeries(series.t, row))
+            if log_fit.degenerate or not converged[0]:
+                params = [log_fit.params[name] for name in PARAM_NAMES[model]]
+                converged = [True]
+        if converged[0]:
+            draws.append(params)
         else:
             failed += 1
     return (np.percentile(draws, 2.5, axis=0), np.percentile(draws, 97.5, axis=0),
