@@ -347,7 +347,7 @@ def _cmd_report(args) -> int:
                  f'/d{rec["depth"]}/bs{rec["batch_size"]}/s{rec["seed"]}')
         named.append((label, list(range(1, len(sizes) + 1)), sizes))
     out = os.path.join(args.out_dir, "trajectories.svg")
-    svg_line_plot(out, named, title="trajectories (log-log)", log_log=True)
+    svg_line_plot(out, named)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .growth import GrowthSeries
 from .terms import (SubstrateSpec, Term, count_terms, enumerate_terms, match,
-                    substitute, unify, var)
+                    pattern_variables, substitute, unify, var)
 
 N0_LIFT = 1e-12  # lifts the S = 0 fixed point when k > 0
 
@@ -39,6 +39,10 @@ class ClosureParams:
     n0: float = 0.0
 
     def __post_init__(self):
+        for name in ("throughput", "exponent", "coverage", "n0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.throughput < 0:
             raise ValueError("throughput must be non-negative")
         if self.coverage < 0:
@@ -77,10 +81,13 @@ def integrate_closure(params: ClosureParams, t_grid, dt: float) -> np.ndarray:
     """RK4 values of S at the requested time points (t_grid ascending from 0).
 
     With K >= 0 every RK4 stage is at least S, so S never decreases; a step
-    that overflows raises ValueError naming the time it reached.
+    that overflows raises ValueError naming the time it reached.  A dt or
+    time point that is not a finite number raises ValueError.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0 or not math.isfinite(dt):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not all(map(math.isfinite, t_grid)):
+        raise ValueError("time points must be finite")
     s = params.n0
     if s == 0.0 and params.exponent > 0:
         s = N0_LIFT
@@ -104,6 +111,8 @@ def integrate_closure(params: ClosureParams, t_grid, dt: float) -> np.ndarray:
 
 def simulate_ode(params: ClosureParams, t_end: float, dt: float) -> GrowthSeries:
     """Integrate the closure ODE and sample at unit time spacing."""
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     t_grid = np.arange(1.0, math.floor(t_end) + 1.0)
     values = integrate_closure(params, t_grid, dt)
     return GrowthSeries(t_grid, values)
@@ -150,7 +159,7 @@ def _pattern_vars(lhs: Term) -> dict[str, tuple[str, int]]:
     stack = [(lhs, 1)]
     while stack:
         t, level = stack.pop()
-        if t.kind == "var" and t.label[0].isupper():
+        if t.kind == "pvar":
             deepest = out.get(t.label, (t.sort, 0))[1]
             out[t.label] = (t.sort, max(deepest, level))
         stack.extend((a, level + 1) for a in t.args)
@@ -169,7 +178,7 @@ def root_instances(lhs: Term, spec: SubstrateSpec, depth: int) -> int:
 
 def _renamed_apart(lhs: Term) -> Term:
     return substitute(lhs, {name: var(name + "'", sort)
-                            for name, (sort, _) in _pattern_vars(lhs).items()})
+                            for name, sort in pattern_variables(lhs).items()})
 
 
 def _matches_anywhere(lhs: Term, term: Term) -> bool:
@@ -180,13 +189,6 @@ def _matches_anywhere(lhs: Term, term: Term) -> bool:
             return True
         stack.extend(t.args)
     return False
-
-
-def coverage_fraction(rule, spec: SubstrateSpec, depth: int,
-                      subterm_positions: bool = False) -> float:
-    """One rule's coverage fraction; see estimate_mu."""
-    return estimate_mu([rule.lhs], spec, depth,
-                       subterm_positions=subterm_positions).fractions[0]
 
 
 def estimate_mu(lhss: list[Term], spec: SubstrateSpec, depth: int,

@@ -157,8 +157,7 @@ class RuleSet:
         if rule.lhs.kind == "app":
             node = 0
             for t in _preorder(rule.lhs):
-                key = ((node, None, None)
-                       if t.kind == "var" and t.label[0].isupper()
+                key = ((node, None, None) if t.kind == "pvar"
                        else (node, t.kind, t.label))
                 child = self._edges.get(key)
                 if child is None:
@@ -336,37 +335,6 @@ def sound(lhs: Term, rhs: Term, spec: SubstrateSpec,
         if evaluate(lhs, env) != evaluate(rhs, env):
             return False
     return True
-
-
-def recheck_rule(rule: "Rule", spec: SubstrateSpec,
-                 rng: np.random.Generator) -> bool:
-    """Soundness audit of a committed rule.
-
-    Pattern variables are instantiated with fresh random values of their
-    sorts; the boolean domain enumerates all assignments exhaustively.
-    """
-    names = sorted({(t.label, t.sort) for t in _leaves(rule.lhs)
-                    if t.kind == "var"})
-    if spec.exhaustive_bool:
-        for values in itertools.product((False, True), repeat=len(names)):
-            env = {name: v for (name, _), v in zip(names, values)}
-            if evaluate(rule.lhs, env) != evaluate(rule.rhs, env):
-                return False
-        return True
-    for _ in range(SOUND_SAMPLES):
-        env = {name: _sample_value(sort, rng) for name, sort in names}
-        if evaluate(rule.lhs, env) != evaluate(rule.rhs, env):
-            return False
-    return True
-
-
-def _leaves(term: Term):
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if not t.args:
-            yield t
-        stack.extend(t.args)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +521,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
             if not sound(lhs_c, rhs_c, spec, rng):
                 continue
             lhs, rhs = generalize(lhs_c, rhs_c)
-            if pattern_variables(rhs) - pattern_variables(lhs):
+            if pattern_variables(rhs).keys() - pattern_variables(lhs).keys():
                 continue
             key = (lhs.text, rhs.text)
             if key in seen:
@@ -604,17 +572,9 @@ def load_rules(spec: SubstrateSpec, path) -> list[Rule]:
             lhs_text, _, rhs_text = line.partition("=>")
             try:
                 lhs = parse_term(spec, lhs_text.strip())
-                var_sorts = {}
-                _collect_pattern_sorts(lhs, var_sorts)
-                rhs = parse_term(spec, rhs_text.strip(), var_sorts=var_sorts)
+                rhs = parse_term(spec, rhs_text.strip(),
+                                 var_sorts=pattern_variables(lhs))
             except TermError as exc:
                 raise TermError(f"{path}:{i + 1}: {exc}") from None
             rules.append(Rule(lhs, rhs, 0, i))
     return rules
-
-
-def _collect_pattern_sorts(term: Term, out: dict):
-    if term.kind == "var" and term.label[0].isupper():
-        out[term.label] = term.sort
-    for a in term.args:
-        _collect_pattern_sorts(a, out)

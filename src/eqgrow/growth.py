@@ -606,8 +606,10 @@ def bootstrap_ci(model: str, series: GrowthSeries, n_resamples: int = 500,
     Residuals of the base fit are resampled with replacement, added back to
     the fitted curve (clipped below at 0), and refit from the base fit's
     shape parameters; the 2.5/97.5 percentiles over converged resamples form
-    the intervals.
+    the intervals.  n_resamples below 1 raises ValueError.
     """
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     base = fit_model(model, series)
     if not base.converged:
         raise ValueError(f"{model}: base fit did not converge")

@@ -22,8 +22,6 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .growth import GrowthSeries
-
 
 class LogParseError(ValueError):
     """Malformed history export, with 1-based line number context."""
@@ -111,10 +109,6 @@ class MonthlySeries:
     months: list[str]
     increments: list[int]
     cumulative: list[int]
-
-    def to_growth_series(self) -> GrowthSeries:
-        t = [float(i + 1) for i in range(len(self.months))]
-        return GrowthSeries(t, [float(c) for c in self.cumulative])
 
 
 def _month_range(first: str, last: str) -> list[str]:

@@ -210,7 +210,10 @@ def _r2(actual: np.ndarray, predicted: np.ndarray) -> float:
 
 
 def kfold_cv(X, y, folds: int = 5, shuffle_seed: int = 0) -> EvalReport:
-    """Shuffled K-fold CV; held-out R2 uses each fold's own mean."""
+    """Shuffled K-fold CV; held-out R2 uses each fold's own mean.  folds
+    below 2 raises ValueError."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(y) < folds:

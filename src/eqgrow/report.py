@@ -8,6 +8,7 @@ by the regression commands.
 from __future__ import annotations
 
 import csv
+import math
 
 from .sweep import ROW_FIELDS, AnalysisReport
 
@@ -107,12 +108,11 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
-def svg_line_plot(path, named_series, title: str = "", log_log: bool = False):
-    """One polyline per (name, xs, ys) triple, with axis frame and labels."""
-    import math
-
+def svg_line_plot(path, named_series):
+    """One polyline per (name, xs, ys) triple on log-log axes, with axis
+    frame, title and labels; every value must be positive."""
     def tx(vals):
-        return [math.log10(v) for v in vals] if log_log else list(vals)
+        return [math.log10(v) for v in vals]
 
     all_x = [v for _, xs, _ in named_series for v in tx(xs)]
     all_y = [v for _, _, ys in named_series for v in tx(ys)]
@@ -125,10 +125,9 @@ def svg_line_plot(path, named_series, title: str = "", log_log: bool = False):
         f'<rect x="{SVG_MARGIN}" y="{SVG_MARGIN}" '
         f'width="{SVG_WIDTH - 2 * SVG_MARGIN}" height="{SVG_HEIGHT - 2 * SVG_MARGIN}" '
         f'fill="none" stroke="black"/>',
+        f'<text x="{SVG_WIDTH // 2}" y="24" text-anchor="middle" '
+        f'font-size="14">trajectories (log-log)</text>',
     ]
-    if title:
-        parts.append(f'<text x="{SVG_WIDTH // 2}" y="24" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
     for i, (name, xs, ys) in enumerate(named_series):
         px = _scale(tx(xs), x_lo, x_hi, SVG_MARGIN, SVG_WIDTH - SVG_MARGIN)
         py = _scale(tx(ys), y_lo, y_hi, SVG_HEIGHT - SVG_MARGIN, SVG_MARGIN)

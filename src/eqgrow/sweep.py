@@ -216,7 +216,6 @@ class AnalysisReport:
     domain_table: list[dict] = field(default_factory=list)
     window_winners: dict[int, Counter] = field(default_factory=dict)
     histogram: list[dict] = field(default_factory=list)
-    windows: tuple = ()
     models: tuple = ()
 
 
@@ -233,7 +232,7 @@ def analyze(records: list[dict], windows=DEFAULT_WINDOWS,
     good = [r for r in records if "error" not in r]
     if not good:
         raise ValueError("no trajectories to analyze")
-    report = AnalysisReport(windows=tuple(windows), models=tuple(models))
+    report = AnalysisReport(models=tuple(models))
     winners: dict[int, Counter] = {w: Counter() for w in windows}
     for rec in good:
         sizes = rec["sizes"]
@@ -241,9 +240,7 @@ def analyze(records: list[dict], windows=DEFAULT_WINDOWS,
         # log-log slope; a flat or short trajectory is flagged with b = 0
         fit = fit_power_law(series)
         row = {k: rec[k] for k in ROW_FIELDS}
-        row.update(b=fit.params["b"], log_r2=fit.log_r2,
-                   degenerate=int(fit.degenerate),
-                   final_size=sizes[-1] if sizes else 0)
+        row.update(b=fit.params["b"], degenerate=int(fit.degenerate))
         report.exponents.append(row)
         for w in windows:
             if w > len(sizes):

@@ -3,7 +3,9 @@
 A term is an immutable expression tree: variables, constants, primitive
 function/predicate names, and operator applications.  Uppercase variable
 names (A, B, C, ...) are pattern variables; lowercase names are substrate
-variables.  Every term carries its sort, node count, depth, and a canonical
+variables.  ``var`` makes that decision, once per variable, by giving a
+pattern variable the kind "pvar"; every other check compares kinds.
+Every term carries its sort, node count, depth, and a canonical
 prefix-notation text form, e.g. ``(+ x (* y 1))`` or ``(map inc xs)``.
 Equality and hashing go through the canonical text, so terms behave as
 values.
@@ -53,7 +55,8 @@ class Operator:
 class Term:
     """Immutable expression node.
 
-    kind is one of "var", "const", "prim", "app".  For constants ``value``
+    kind is one of "var" (a substrate variable), "pvar" (a pattern
+    variable), "const", "prim", "app".  For constants ``value``
     holds the Python value (int, bool, or tuple for lists); for the other
     kinds it is None.  ``text`` is the canonical printed form and defines
     equality and hashing.
@@ -95,8 +98,16 @@ class Term:
         return self.text
 
 
+def _is_pattern_name(name: str) -> bool:
+    """The one definition: a variable name with an uppercase first letter
+    names a pattern variable."""
+    return name[0].isupper()
+
+
 def var(name: str, sort: str) -> Term:
-    return Term("var", name, None, (), sort)
+    """A pattern variable (kind "pvar") or a substrate variable (kind
+    "var"), as its name says."""
+    return Term("pvar" if _is_pattern_name(name) else "var", name, None, (), sort)
 
 
 def const(value, sort: str) -> Term:
@@ -264,14 +275,15 @@ BINOPS = {
 
 
 def evaluate(term: Term, env: dict):
-    """Evaluate a concrete term under an environment binding its variables.
+    """Evaluate a term under an environment binding its variables, substrate
+    and pattern variables alike, by name.
 
     List operations are total: map/filter of the empty list return (), fold
     of the empty list returns its init argument.  Raises EvalError on an
     unbound variable (a harness bug, never expected in normal flow).
     """
     k = term.kind
-    if k == "var":
+    if k == "var" or k == "pvar":
         try:
             return env[term.label]
         except KeyError:
@@ -326,7 +338,7 @@ def match(pattern: Term, term: Term):
     stack = [(pattern, term)]
     while stack:
         p, t = stack.pop()
-        if p.kind == "var" and p.label[0].isupper():
+        if p.kind == "pvar":
             bound = bindings.get(p.label)
             if bound is None:
                 if p.sort != t.sort:
@@ -344,7 +356,7 @@ def match(pattern: Term, term: Term):
 def substitute(pattern: Term, bindings: dict) -> Term:
     """Replace each pattern variable in ``pattern`` with its binding; a
     missing binding is an error."""
-    if pattern.kind == "var" and pattern.label[0].isupper():
+    if pattern.kind == "pvar":
         got = bindings.get(pattern.label)
         if got is None:
             raise TermError(f"no binding for pattern variable {pattern.label}")
@@ -366,7 +378,7 @@ def unify(p: Term, q: Term) -> Term | None:
     bindings: dict[str, Term] = {}
 
     def resolve(t: Term) -> Term:
-        while t.kind == "var" and t.label in bindings:
+        while t.kind == "pvar" and t.label in bindings:
             t = bindings[t.label]
         if not t.args:
             return t
@@ -379,10 +391,10 @@ def unify(p: Term, q: Term) -> Term | None:
             continue
         if a.sort != b.sort:
             return None
-        if b.kind == "var" and b.label[0].isupper():
+        if b.kind == "pvar":
             a, b = b, a
-        if a.kind == "var" and a.label[0].isupper():
-            if a.label in free_variables(b):
+        if a.kind == "pvar":
+            if a.label in pattern_variables(b):
                 return None
             bindings[a.label] = b
         elif a.kind != b.kind or a.label != b.label or len(a.args) != len(b.args):
@@ -402,7 +414,7 @@ def generalize(lhs: Term, rhs: Term) -> tuple[Term, Term]:
     mapping: dict[str, Term] = {}
 
     def walk(t: Term) -> Term:
-        if t.kind == "var" and not t.label[0].isupper():
+        if t.kind == "var":
             got = mapping.get(t.label)
             if got is None:
                 got = var(pattern_var_name(len(mapping)), t.sort)
@@ -427,19 +439,17 @@ def subterms(term: Term) -> list[Term]:
     return out
 
 
-def free_variables(term: Term) -> set[str]:
-    out: set[str] = set()
+def pattern_variables(term: Term) -> dict[str, str]:
+    """Each pattern variable's name and sort, in first-occurrence preorder."""
+    out: dict[str, str] = {}
     stack = [term]
     while stack:
         t = stack.pop()
-        if t.kind == "var":
-            out.add(t.label)
-        stack.extend(t.args)
+        if t.kind == "pvar":
+            out.setdefault(t.label, t.sort)
+        else:
+            stack.extend(reversed(t.args))
     return out
-
-
-def pattern_variables(term: Term) -> set[str]:
-    return {name for name in free_variables(term) if name[0].isupper()}
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +539,7 @@ def parse_term(spec: SubstrateSpec, text: str, sort: str | None = None,
     pos = 0
 
     def atom(tok: str, expected: str | None) -> Term:
-        if tok[0].isupper():
+        if _is_pattern_name(tok):
             s = pattern_sorts.get(tok, expected)
             if s is None:
                 raise TermError(f"cannot infer sort of pattern variable {tok}")

@@ -12,10 +12,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from eqgrow.closure import (ClosureParams, closed_form_power,
-                            coverage_fraction, integrate_closure,
-                            simulate_ode)
-from eqgrow.engine import ArchConfig, Rule, run_discovery
+from eqgrow.closure import (ClosureParams, closed_form_power, estimate_mu,
+                            integrate_closure, simulate_ode)
+from eqgrow.engine import ArchConfig, run_discovery
 from eqgrow.growth import (DEFAULT_MODELS, GrowthSeries, MODELS, bootstrap_ci,
                            fit_model, fit_power_law, oos_forecast, predict,
                            select_model, series_from_sizes)
@@ -192,8 +191,7 @@ def test_criterion_06_enumeration_recurrence():
             assert count_terms(LIST, sort, depth) == \
                 len(enumerate_terms(LIST, sort, depth)), (sort, depth)
             checks += 1
-    universal = Rule(var("A", INT), var("A", INT), 0, 0)
-    assert coverage_fraction(universal, ARITH, 2) == 1.0
+    assert estimate_mu([var("A", INT)], ARITH, 2).fractions[0] == 1.0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(f"ACCEPTANCE 6 enumeration/recurrence: PASS "

@@ -5,26 +5,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqgrow.closure import (
-    ClosureParams, closed_form_power, coverage_fraction, estimate_mu,
-    growth_rate, integrate_closure, power_law_exponent, root_instances,
-    simulate_ode,
+    ClosureParams, closed_form_power, estimate_mu, growth_rate,
+    integrate_closure, power_law_exponent, root_instances, simulate_ode,
 )
-from eqgrow.engine import ArchConfig, Rule, run_discovery
+from eqgrow.engine import ArchConfig, run_discovery
 from eqgrow.terms import (ARITH, BOOL, BOOLDOM, FUN1, FUN2, INT, INTLIST,
                           LIST, PRED, app, enumerate_terms, match,
-                          parse_term, substitute, unify, var)
+                          parse_term, pattern_variables, substitute, unify,
+                          var)
 
 
-def pattern_rule(spec, lhs_text, rhs_text):
-    lhs = parse_term(spec, lhs_text)
-    sorts = {}
-    stack = [lhs]
-    while stack:
-        t = stack.pop()
-        if t.kind == "var" and t.label[0].isupper():
-            sorts[t.label] = t.sort
-        stack.extend(t.args)
-    return Rule(lhs, parse_term(spec, rhs_text, var_sorts=sorts), 0, 0)
+def arith_coverage(lhs, depth, subterm_positions=False):
+    """One arith left side's coverage fraction at a depth."""
+    if isinstance(lhs, str):
+        lhs = parse_term(ARITH, lhs)
+    return estimate_mu([lhs], ARITH, depth,
+                       subterm_positions=subterm_positions).fractions[0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,35 +125,28 @@ def test_knee_bracket_for_reported_band():
 # ---------------------------------------------------------------------------
 
 def test_universal_pattern_covers_everything():
-    rule = Rule(var("A", INT), var("A", INT), 0, 0)
-    assert coverage_fraction(rule, ARITH, 2) == 1.0
+    assert arith_coverage(var("A", INT), 2) == 1.0
 
 
 def test_concrete_term_covers_one():
-    rule = pattern_rule(ARITH, "(+ x 0)", "x")
-    assert coverage_fraction(rule, ARITH, 2) == pytest.approx(1.0 / 78.0)
+    assert arith_coverage("(+ x 0)", 2) == pytest.approx(1.0 / 78.0)
 
 
 def test_root_plus_pattern_golden():
-    rule = pattern_rule(ARITH, "(+ A B)", "A")
-    assert coverage_fraction(rule, ARITH, 2) == pytest.approx(36.0 / 78.0)
+    assert arith_coverage("(+ A B)", 2) == pytest.approx(36.0 / 78.0)
 
 
 def test_coverage_monotone_under_instantiation():
-    broad = pattern_rule(ARITH, "(+ A B)", "A")
-    rng = np.random.default_rng(0)
+    broad = parse_term(ARITH, "(+ A B)")
     for leaf_text in ("x", "0", "2"):
         leaf = parse_term(ARITH, leaf_text)
-        narrowed = Rule(substitute(broad.lhs, {"A": var("A", INT), "B": leaf}),
-                        broad.rhs, 0, 0)
-        assert (coverage_fraction(narrowed, ARITH, 2)
-                <= coverage_fraction(broad, ARITH, 2))
+        narrowed = substitute(broad, {"A": var("A", INT), "B": leaf})
+        assert arith_coverage(narrowed, 2) <= arith_coverage(broad, 2)
 
 
 def test_subterm_position_variant_not_smaller():
-    rule = pattern_rule(ARITH, "(+ A 0)", "A")
-    root = coverage_fraction(rule, ARITH, 3)
-    anywhere = coverage_fraction(rule, ARITH, 3, subterm_positions=True)
+    root = arith_coverage("(+ A 0)", 3)
+    anywhere = arith_coverage("(+ A 0)", 3, subterm_positions=True)
     assert anywhere >= root
 
 
@@ -168,9 +157,8 @@ def test_estimate_mu_single_universal_rule():
 
 
 def test_disjoint_roots_zero_overlap():
-    r1 = pattern_rule(ARITH, "(+ A B)", "A")
-    r2 = pattern_rule(ARITH, "(* A B)", "A")
-    report = estimate_mu([r1.lhs, r2.lhs], ARITH, 2)
+    report = estimate_mu([parse_term(ARITH, "(+ A B)"),
+                          parse_term(ARITH, "(* A B)")], ARITH, 2)
     assert report.overlap[0, 1] == 0.0
     assert report.overlap[0, 0] == report.overlap[1, 1] == 1.0
     assert all(0.0 <= f <= 1.0 for f in report.fractions)
@@ -260,14 +248,8 @@ COVER_VARS = {INT: ("A", "B"), BOOL: ("A", "B"), INTLIST: ("C", "D"),
 
 
 def _renamed_apart(lhs):
-    names = {}
-    stack = [lhs]
-    while stack:
-        t = stack.pop()
-        if t.kind == "var" and t.label[0].isupper():
-            names[t.label] = var(t.label + "2", t.sort)
-        stack.extend(t.args)
-    return substitute(lhs, names)
+    return substitute(lhs, {name: var(name + "2", sort)
+                            for name, sort in pattern_variables(lhs).items()})
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqgrow.growth import read_series_csv
 from eqgrow.ingest import (
     CommitRecord, LogParseError, format_log, monthly_series,
     parse_log, write_monthly_csv,
@@ -111,14 +112,14 @@ def test_printer_parse_roundtrip():
 def test_growth_series_conversion_and_csv(tmp_path):
     records = parse_log(SAMPLE)
     series = monthly_series(records, mode="commits")
-    growth = series.to_growth_series()
-    assert list(growth.t) == [1.0, 2.0, 3.0]
-    assert list(growth.n) == [2.0, 2.0, 3.0]
     path = tmp_path / "monthly.csv"
     write_monthly_csv(path, series)
     lines = path.read_text().splitlines()
     assert lines[0] == "month,t,n"
     assert lines[1] == "2021-05,1,2"
+    growth = read_series_csv(path)
+    assert list(growth.t) == [1.0, 2.0, 3.0]
+    assert list(growth.n) == [2.0, 2.0, 3.0]
 
 
 def synthesize_history(months=60, start=(2021, 5), total=56_954, seed=0):

@@ -451,14 +451,30 @@ def test_cli_ingest_and_ode(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--throughput", "-1", "--exponent", "0"], "throughput must be non-negative"),
-    (["--throughput", "1", "--exponent", "-0.5"], "needs n0 > 0"),
-    (["--throughput", "1", "--exponent", "1.5", "--n0", "1"],
+    (["--throughput", "-1", "--exponent", "0", "--t-end", "50"],
+     "throughput must be non-negative"),
+    (["--throughput", "1", "--exponent", "-0.5", "--t-end", "50"],
+     "needs n0 > 0"),
+    (["--throughput", "1", "--exponent", "1.5", "--n0", "1", "--t-end", "50"],
      "diverged before t = 2.04"),
+    (["--throughput", "1", "--exponent", "0", "--t-end", "inf"],
+     "t_end must be finite"),
+    (["--throughput", "1", "--exponent", "0", "--t-end", "50", "--dt", "nan"],
+     "dt must be positive and finite"),
+    (["--throughput", "1", "--exponent", "0", "--t-end", "50", "--dt", "0"],
+     "dt must be positive and finite"),
+    (["--throughput", "nan", "--exponent", "0", "--t-end", "50"],
+     "throughput must be finite"),
+    (["--throughput", "1", "--exponent", "nan", "--t-end", "50"],
+     "exponent must be finite"),
+    (["--throughput", "1", "--exponent", "0", "--coverage", "inf",
+      "--t-end", "50"], "coverage must be finite"),
+    (["--throughput", "1", "--exponent", "0", "--n0", "inf", "--t-end", "50"],
+     "n0 must be finite"),
 ])
 def test_cli_ode_bad_input_is_data_error(tmp_path, capsys, argv, message):
     out = tmp_path / "ode.csv"
-    assert main(["ode", *argv, "--t-end", "50", "--out", str(out)]) == 2
+    assert main(["ode", *argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -481,6 +497,31 @@ def test_cli_regression_commands(tmp_path, capsys):
     assert main(["pooled", exponents, "--folds", "4"]) == 0
     captured = capsys.readouterr()
     assert "transfer r2" in captured.out
+
+
+@pytest.mark.parametrize("resamples", ["0", "-3"])
+def test_cli_bootstrap_resamples_below_one_is_data_error(tmp_path, capsys,
+                                                          resamples):
+    series = tmp_path / "series.csv"
+    series.write_text("t,n\n" + "".join(f"{t},{2.0 * t ** 0.8}\n"
+                                        for t in range(1, 31)))
+    assert main(["bootstrap", str(series), "--model", "power_law",
+                 "--resamples", resamples]) == 2
+    assert "n_resamples must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["regress", "--domains", "arith"],
+                                     ["pooled"]])
+@pytest.mark.parametrize("folds", ["1", "0"])
+def test_cli_folds_below_two_is_data_error(tmp_path, capsys, command, folds):
+    exponents = tmp_path / "exponents.csv"
+    exponents.write_text(
+        "domain,generator,filter,depth,batch_size,seed,b,degenerate\n"
+        + "".join(f"arith,random,any,2,40,{seed},0.{seed + 5},0\n"
+                  for seed in range(4)))
+    name, *rest = command
+    assert main([name, str(exponents), *rest, "--folds", folds]) == 2
+    assert "folds must be >= 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["(+ A q) => A", "(+ A 0 => A", "( => A"])

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from eqgrow.engine import ArchConfig, _config_rng, _grow, sample_env
 from eqgrow.terms import (
-    ARITH, BOOL, BOOLDOM, EnumerationTooLarge, INT, INTLIST, LIST,
+    ARITH, BOOL, BOOLDOM, EnumerationTooLarge, FUN1, INT, INTLIST, LIST, PRED,
     SUBSTRATES, Term, app, const, count_terms, enumerate_terms, evaluate,
-    generalize, match, parse_term, subterms, substitute, var,
+    generalize, match, parse_term, pattern_variables, subterms, substitute,
+    var,
 )
 
 
@@ -59,6 +60,14 @@ def test_eval_deterministic():
 # ---------------------------------------------------------------------------
 # matching and substitution
 # ---------------------------------------------------------------------------
+
+def test_pattern_variables_by_kind_in_first_occurrence_preorder():
+    assert (var("A", INT).kind, var("x", INT).kind) == ("pvar", "var")
+    term = T(LIST, "(append (map F C) (cons (+ B x) (filter P (cons B C))))")
+    assert list(pattern_variables(term).items()) == [
+        ("F", FUN1), ("C", INTLIST), ("B", INT), ("P", PRED)]
+    assert pattern_variables(T(ARITH, "(+ x 1)")) == {}
+
 
 def test_match_binds_pattern_vars():
     got = match(T(ARITH, "(+ A B)"), T(ARITH, "(+ x 1)"))
@@ -119,7 +128,7 @@ def test_generalize_semantics_preserved():
             stack = [(original, generalized)]
             while stack:
                 o, g = stack.pop()
-                if g.kind == "var" and g.label[0].isupper():
+                if g.kind == "pvar":
                     mapping[g.label] = o.label
                 stack.extend(zip(o.args, g.args))
         for pvar, source in mapping.items():
@@ -227,15 +236,10 @@ def _grammar_terms(draw, spec, sort, depth):
     return draw(st.sampled_from(spec.leaves_by_sort[sort]))
 
 
-def _var_sorts(term):
-    if term.kind == "var":
-        return {term.label: term.sort}
-    return {k: v for a in term.args for k, v in _var_sorts(a).items()}
-
-
 def _root_var_sort(term):
-    """The sort a bare root variable needs to be given; None otherwise."""
-    return term.sort if term.kind == "var" else None
+    """The sort a bare root pattern variable needs to be given; None
+    otherwise."""
+    return term.sort if term.kind == "pvar" else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,7 +250,7 @@ def test_print_parse_roundtrip(spec, data):
     rhs = data.draw(_grammar_terms(spec, sort, 4))
     lhs_pattern, rhs_pattern = generalize(lhs, rhs)
     for term, var_sorts in ((lhs, None), (rhs, None), (lhs_pattern, None),
-                            (rhs_pattern, _var_sorts(lhs_pattern))):
+                            (rhs_pattern, pattern_variables(lhs_pattern))):
         back = parse_term(spec, term.text, sort=_root_var_sort(term),
                           var_sorts=var_sorts)
         assert (back.text, back.sort) == (term.text, term.sort)

@@ -1,12 +1,20 @@
-"""The benchmark's tracer wraps eqgrow functions by module and attribute
-name, so a renamed or deleted function would silently drop out of a traced
-run.  This checks every name it wraps still resolves."""
+"""Checks on the code itself.
 
+The benchmark's tracer wraps eqgrow functions by module and attribute
+name, so a renamed or deleted function would silently drop out of a traced
+run; every name it wraps must still resolve.  And every public definition
+in the package needs a use in src/ or bench/, so that code only the tests
+reach does not pile up.
+"""
+
+import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -21,3 +29,28 @@ def test_traced_names_resolve():
                if not callable(getattr(importlib.import_module(module),
                                        attribute, None))]
     assert missing == []
+
+
+# Public definitions that nothing in src/ or bench/ uses yet, with why each
+# stays.  A name that gains a use must leave this list.
+UNREFERENCED = {
+    "closed_form_power": "the ODE reference the closure tests compare against",
+    "power_law_exponent": "gets its caller in the closure-fit report (ROADMAP 5)",
+    "format_log": "writes the history fixtures that parse_log is tested on",
+}
+
+
+def test_public_definitions_have_a_use():
+    sources = {path: path.read_text(encoding="utf-8")
+               for folder in ("src", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    unused = []
+    for path in sorted((ROOT / "src" / "eqgrow").glob("*.py")):
+        for node in ast.parse(sources[path]).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                word = re.compile(rf"\b{re.escape(node.name)}\b")
+                uses = sum(len(word.findall(text)) for text in sources.values())
+                if uses < 2:  # the definition itself is one
+                    unused.append(node.name)
+    assert sorted(unused) == sorted(UNREFERENCED)
