@@ -42,13 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _trajectories(path) -> list[dict]:
+    """The records of a sweep file that hold a trajectory; a file with none
+    raises ValueError naming it."""
+    good = [r for r in read_sweep_file(path) if "error" not in r]
+    if not good:
+        raise ValueError(f"{path}: no trajectories")
+    return good
+
+
 def _load_series(path):
     if str(path).endswith(".jsonl"):
-        records = read_sweep_file(path)
-        good = [r for r in records if "error" not in r]
-        if not good:
-            raise ValueError(f"{path}: no trajectories")
-        return series_from_sizes(good[0]["sizes"])
+        return series_from_sizes(_trajectories(path)[0]["sizes"])
     return read_series_csv(path)
 
 
@@ -339,9 +344,8 @@ def _cmd_report(args) -> int:
         return EXIT_OK
     if not args.trajectories:
         raise ValueError("--trajectories is required for svg output")
-    records = [r for r in read_sweep_file(args.trajectories) if "error" not in r]
     named = []
-    for rec in records[:6]:
+    for rec in _trajectories(args.trajectories)[:6]:
         sizes = [max(v, 1e-9) for v in rec["sizes"]]
         label = (f'{rec["domain"]}/{rec["generator"]}/{rec["filter"]}'
                  f'/d{rec["depth"]}/bs{rec["batch_size"]}/s{rec["seed"]}')

@@ -52,13 +52,6 @@ class ClosureParams:
         if self.exponent < 0 and self.n0 == 0:
             raise ValueError("a negative exponent needs n0 > 0")
 
-    @property
-    def knee(self) -> float:
-        """Substrate size where coverage suppression bends the curve."""
-        if self.coverage <= 0:
-            return math.inf
-        return 1.0 / self.coverage
-
 
 def growth_rate(params: ClosureParams, size: float) -> float:
     """dS/dt at substrate size S."""
@@ -110,9 +103,12 @@ def integrate_closure(params: ClosureParams, t_grid, dt: float) -> np.ndarray:
 
 
 def simulate_ode(params: ClosureParams, t_end: float, dt: float) -> GrowthSeries:
-    """Integrate the closure ODE and sample at unit time spacing."""
+    """Integrate the closure ODE and sample at unit time spacing, from t = 1
+    to t_end; a t_end below 1 or not finite raises ValueError."""
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end < 1:
+        raise ValueError(f"t_end must be at least 1, got {t_end}")
     t_grid = np.arange(1.0, math.floor(t_end) + 1.0)
     values = integrate_closure(params, t_grid, dt)
     return GrowthSeries(t_grid, values)
@@ -148,7 +144,6 @@ class CoverageReport:
     fractions: list[float]            # per-rule |Cov| / |T_d|
     mu_hat: float                     # mean fraction
     overlap: np.ndarray               # O_ij = |Cov_i & Cov_j| / min(|Cov_i|,|Cov_j|)
-    depth: int
     space_size: int
 
 
@@ -232,5 +227,4 @@ def estimate_mu(lhss: list[Term], spec: SubstrateSpec, depth: int,
                 overlap[i, j] = overlap[j, i] = common(i, j) / denom
     return CoverageReport(fractions=fractions,
                           mu_hat=float(np.mean(fractions)),
-                          overlap=overlap, depth=depth,
-                          space_size=sum(totals.values()))
+                          overlap=overlap, space_size=sum(totals.values()))

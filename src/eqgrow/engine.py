@@ -99,10 +99,6 @@ class Rule:
     lhs: Term
     rhs: Term
     hit_count: int = 0
-    insertion_index: int = 0
-
-    def key(self) -> tuple[str, str]:
-        return (self.lhs.text, self.rhs.text)
 
     def format(self) -> str:
         return f"{self.lhs.text} => {self.rhs.text}"
@@ -131,9 +127,9 @@ class RuleSet:
     left side, with every pattern variable a wildcard that skips one whole
     subterm, so a lookup at a term position returns every rule that could
     match there and ``match`` confirms it.  Rules take precedence by
-    ``(-hit_count, insertion_index, order of addition)``; a rule that
-    matches at several positions applies at the first in preorder.  A rule
-    whose left side is not an operator application never applies.
+    ``(-hit_count, order of addition)``; a rule that matches at several
+    positions applies at the first in preorder.  A rule whose left side is
+    not an operator application never applies.
 
     The redexes of each subterm are memoized.  They depend on the rules but
     not on their hit counts, so the memo holds until the next ``add``, and
@@ -259,16 +255,15 @@ def _replace_at(term: Term, position: int, replacement: Term) -> Term:
 
 def _precedence(redex: tuple) -> tuple:
     position, order, rule, _ = redex
-    return (-rule.hit_count, rule.insertion_index, order, position)
+    return (-rule.hit_count, order, position)
 
 
 def normalize(term: Term, ruleset: RuleSet) -> Term:
     """Rewrite to a fixpoint or the step cap.
 
     At each step the applicable rule with the smallest ``(-hit_count,
-    insertion_index, order of addition)`` wins, at its first preorder
-    position in the term; each application increments that rule's hit
-    count.
+    order of addition)`` wins, at its first preorder position in the term;
+    each application increments that rule's hit count.
     """
     if not ruleset.rules:
         return term
@@ -528,7 +523,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
                 continue
             if not filter_passes(config.filter, lhs, rhs, ruleset):
                 continue
-            ruleset.add(Rule(lhs, rhs, 0, len(ruleset.rules)))
+            ruleset.add(Rule(lhs, rhs))
             seen.add(key)
             state.harvest(subterms(lhs_c) + subterms(rhs_c))
         sizes.append(len(ruleset.rules))
@@ -576,5 +571,5 @@ def load_rules(spec: SubstrateSpec, path) -> list[Rule]:
                                  var_sorts=pattern_variables(lhs))
             except TermError as exc:
                 raise TermError(f"{path}:{i + 1}: {exc}") from None
-            rules.append(Rule(lhs, rhs, 0, i))
+            rules.append(Rule(lhs, rhs))
     return rules

@@ -49,7 +49,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -133,9 +133,7 @@ class FitResult:
     bic: float
     converged: bool
     degenerate: bool
-    start_point: dict[str, float] = field(default_factory=dict)
     log_r2: float | None = None
-    n_points: int = 0
 
     def predict(self, t) -> np.ndarray:
         return predict(self.model, self.params, np.asarray(t, dtype=float))
@@ -439,6 +437,15 @@ def _information(rss: float, n_points: int, n_params: int):
     return aic, bic
 
 
+def _scored(model: str, params: dict, series: GrowthSeries, degenerate: bool,
+            log_r2: float | None = None) -> FitResult:
+    """A converged fit of ``params``, scored over the whole series."""
+    rss, r2 = _linear_stats(model, params, series)
+    aic, bic = _information(rss, len(series), len(PARAM_NAMES[model]))
+    return FitResult(model, params, rss, r2, aic, bic, converged=True,
+                     degenerate=degenerate, log_r2=log_r2)
+
+
 def fit_power_law(series: GrowthSeries, min_points: int = 4) -> FitResult:
     """Closed-form OLS on (ln t, ln n); points with n < 1 are dropped first.
 
@@ -450,11 +457,7 @@ def fit_power_law(series: GrowthSeries, min_points: int = 4) -> FitResult:
     n_kept = int(np.sum(keep))
     if n_kept < max(min_points, 2):
         params = {"a": float(np.mean(series.n)) if len(series) else 0.0, "b": 0.0}
-        rss, r2 = _linear_stats("power_law", params, series)
-        aic, bic = _information(rss, len(series), 2)
-        return FitResult("power_law", params, rss, r2, aic, bic,
-                         converged=True, degenerate=True, log_r2=None,
-                         n_points=len(series))
+        return _scored("power_law", params, series, True)
     lt = np.log(series.t[keep])
     ln = np.log(series.n[keep])
     lt_mean, ln_mean = float(np.mean(lt)), float(np.mean(ln))
@@ -469,11 +472,7 @@ def fit_power_law(series: GrowthSeries, min_points: int = 4) -> FitResult:
     ss_res = float(np.sum((ln - fitted) ** 2))
     ss_tot = float(np.sum((ln - ln_mean) ** 2))
     log_r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res < 1e-12 else 0.0)
-    rss, r2 = _linear_stats("power_law", params, series)
-    aic, bic = _information(rss, len(series), 2)
-    return FitResult("power_law", params, rss, r2, aic, bic,
-                     converged=True, degenerate=False, log_r2=log_r2,
-                     n_points=len(series))
+    return _scored("power_law", params, series, False, log_r2)
 
 
 def _fit_linear(series: GrowthSeries) -> FitResult:
@@ -482,11 +481,7 @@ def _fit_linear(series: GrowthSeries) -> FitResult:
     var = float(np.sum((t - t_mean) ** 2))
     b = float(np.sum((t - t_mean) * (n - n_mean)) / var) if var > 0 else 0.0
     a = n_mean - b * t_mean
-    params = {"a": a, "b": b}
-    rss, r2 = _linear_stats("linear", params, series)
-    aic, bic = _information(rss, len(series), 2)
-    return FitResult("linear", params, rss, r2, aic, bic,
-                     converged=True, degenerate=False, n_points=len(series))
+    return _scored("linear", {"a": a, "b": b}, series, False)
 
 
 def _saturating_degenerate(params: dict) -> bool:
@@ -511,20 +506,13 @@ def _best_fit(model: str, series: GrowthSeries, starts: list, theta, a, rss, con
                              series.n)
         params = dict(zip(names, (float(a0[0]), *starts[0])))
         return FitResult(model, params, math.inf, -math.inf, math.inf, math.inf,
-                         converged=False, degenerate=True,
-                         start_point=dict(zip(names[1:], starts[0])),
-                         n_points=len(series))
+                         converged=False, degenerate=True)
     best = int(np.argmin(np.where(converged, rss, math.inf)))
     params = dict(zip(names, (float(v) for v in (a[best], *theta[best]))))
-    rss, r2 = _linear_stats(model, params, series)
-    aic, bic = _information(rss, len(series), len(names))
     degenerate = (_saturating_degenerate(params) if model == "saturating_pl"
                   else _log_normal_degenerate(params, series.t) if model == "log_normal"
                   else False)
-    return FitResult(model, params, rss, r2, aic, bic,
-                     converged=True, degenerate=degenerate,
-                     start_point=dict(zip(names[1:], starts[best])),
-                     log_r2=log_r2, n_points=len(series))
+    return _scored(model, params, series, degenerate, log_r2)
 
 
 def _fit_power(series: GrowthSeries) -> FitResult:
@@ -594,7 +582,6 @@ def select_model(series: GrowthSeries, models=DEFAULT_MODELS) -> list[FitResult]
 @dataclass
 class BootstrapResult:
     intervals: dict[str, tuple[float, float, float]]  # name -> (lo95, hi95, point)
-    n_resamples: int
     fraction_failed: float
     degenerate: bool
 
@@ -653,7 +640,7 @@ def bootstrap_ci(model: str, series: GrowthSeries, n_resamples: int = 500,
         for name in names:
             intervals[name] = (math.nan, math.nan, base.params[name])
     degenerate = fraction_failed > 0.5 or base.degenerate
-    return BootstrapResult(intervals, n_resamples, fraction_failed, degenerate)
+    return BootstrapResult(intervals, fraction_failed, degenerate)
 
 
 @dataclass

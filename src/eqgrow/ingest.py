@@ -129,10 +129,13 @@ def monthly_series(records: list[CommitRecord], mode: str = "commits",
     """Aggregate commits (or added paths matching ``glob``) per month.
 
     Months between the first and last observed month appear contiguously,
-    with zero increments where nothing happened.
+    with zero increments where nothing happened.  A glob outside new_files
+    mode raises ValueError, since only that mode reads paths.
     """
     if mode not in ("commits", "new_files"):
         raise ValueError(f"unknown mode {mode!r}")
+    if glob is not None and mode != "new_files":
+        raise ValueError(f"a glob applies only in new_files mode, not in {mode!r}")
     if not records:
         return MonthlySeries([], [], [])
     matcher = _glob_regex(glob) if glob else None

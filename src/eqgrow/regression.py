@@ -148,7 +148,6 @@ def _tree_predict(node: _Node, X: np.ndarray) -> np.ndarray:
 class GbmModel:
     initial_prediction: float
     trees: list[_Node] = field(default_factory=list)
-    train_mse_path: list[float] = field(default_factory=list)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -175,7 +174,6 @@ def fit_gbm(X, y, n_stages: int = N_STAGES) -> GbmModel:
     fitted = np.empty(len(y))
     for _ in range(n_stages):
         residual = y - current
-        model.train_mse_path.append(float(np.mean(residual ** 2)))
         if np.max(np.abs(residual)) < 1e-12:
             break
         tree = _grow_tree(X, residual, every_row, order, xs, 0, fitted)
@@ -195,7 +193,6 @@ class EvalReport:
     r2_mean: float
     r2_std: float
     mae_mean: float
-    fold_r2: list[float] = field(default_factory=list)
     mean_pred: float | None = None
     mean_actual: float | None = None
     predictions: np.ndarray | None = None  # held-out, aligned to input order
@@ -232,8 +229,7 @@ def kfold_cv(X, y, folds: int = 5, shuffle_seed: int = 0) -> EvalReport:
         r2s.append(_r2(y[test_idx], pred))
         maes.append(float(np.mean(np.abs(y[test_idx] - pred))))
     return EvalReport(r2_mean=float(np.mean(r2s)), r2_std=float(np.std(r2s)),
-                      mae_mean=float(np.mean(maes)), fold_r2=r2s,
-                      predictions=heldout)
+                      mae_mean=float(np.mean(maes)), predictions=heldout)
 
 
 def transfer_eval(X_train, y_train, X_test, y_test) -> EvalReport:

@@ -49,15 +49,24 @@ def write_exponents_csv(path, report: AnalysisReport):
 
 def read_exponents_csv(path) -> list[dict]:
     """The rows of an exponent table, with its numeric grid fields and b
-    converted; an empty table raises ValueError."""
+    converted.  A missing column or a table without rows raises ValueError
+    naming the file, and a value that does not convert one naming its line."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in EXPONENT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+        for row in reader:
+            try:
+                for name in ("depth", "batch_size", "seed"):
+                    row[name] = int(row[name])
+                row["b"] = float(row["b"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty exponent table")
-    for row in rows:
-        for name in ("depth", "batch_size", "seed"):
-            row[name] = int(row[name])
-        row["b"] = float(row["b"])
     return rows
 
 

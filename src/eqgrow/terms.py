@@ -456,7 +456,7 @@ def pattern_variables(term: Term) -> dict[str, str]:
 # Enumeration and counting
 # ---------------------------------------------------------------------------
 
-DEFAULT_ENUM_CAP = 10_000_000
+ENUM_CAP = 10_000_000
 
 
 def count_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> int:
@@ -487,20 +487,19 @@ def count_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> int:
     return count(sort, max_depth)
 
 
-def enumerate_terms(spec: SubstrateSpec, sort: str, max_depth: int,
-                    cap: int = DEFAULT_ENUM_CAP) -> list[Term]:
+def enumerate_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> list[Term]:
     """All well-sorted terms of ``sort`` up to ``max_depth``, canonically ordered.
 
     Order: leaves first (variables, constants, prims in grammar order), then
     operators in grammar order with argument tuples in lexicographic
     recursion.  Refuses with EnumerationTooLarge when the projected count
-    exceeds ``cap``.
+    exceeds ENUM_CAP.
     """
     projected = count_terms(spec, sort, max_depth)
-    if projected > cap:
+    if projected > ENUM_CAP:
         raise EnumerationTooLarge(
             f"enumeration too large: {projected} terms of {sort} at depth "
-            f"{max_depth} exceeds cap {cap}")
+            f"{max_depth} exceeds cap {ENUM_CAP}")
     memo: dict[tuple[str, int], list[Term]] = {}
 
     def enum(s: str, d: int) -> list[Term]:
@@ -524,13 +523,13 @@ def enumerate_terms(spec: SubstrateSpec, sort: str, max_depth: int,
 # Canonical text round-trip
 # ---------------------------------------------------------------------------
 
-def parse_term(spec: SubstrateSpec, text: str, sort: str | None = None,
+def parse_term(spec: SubstrateSpec, text: str,
                var_sorts: dict[str, str] | None = None) -> Term:
     """Parse the canonical prefix text form back into a Term.
 
-    ``sort`` is the expected sort when it cannot be inferred (a bare pattern
-    variable); ``var_sorts`` can pre-assign sorts to pattern variables, as
-    when parsing a rule's right side with the left side's variables.
+    ``var_sorts`` pre-assigns sorts to pattern variables, as when parsing a
+    rule's right side with the left side's variables; a pattern variable
+    whose sort nothing fixes raises TermError.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
@@ -578,9 +577,7 @@ def parse_term(spec: SubstrateSpec, text: str, sort: str | None = None,
             raise TermError(f"unexpected ')' in {text!r}")
         return atom(tok, expected)
 
-    term = parse(sort)
+    term = parse(None)
     if pos != len(tokens):
         raise TermError(f"trailing tokens in {text!r}")
-    if sort is not None and term.sort != sort:
-        raise TermError(f"parsed sort {term.sort}, expected {sort}")
     return term

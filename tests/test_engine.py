@@ -19,10 +19,10 @@ from eqgrow.terms import (
 BOOL_SMOKE_FINAL = 214  # bool/random/any/d3/bs80/seed0, 30 epochs
 
 
-def rule(spec, lhs, rhs, index=0):
+def rule(spec, lhs, rhs):
     left = parse_term(spec, lhs)
     right = parse_term(spec, rhs, var_sorts=pattern_variables(left))
-    return Rule(left, right, 0, index)
+    return Rule(left, right)
 
 
 def ruleset(*rules):
@@ -120,8 +120,8 @@ def test_normalize_looping_rule_hits_step_cap():
 
 
 def test_normalize_rule_order_hit_count_descending():
-    r1 = rule(ARITH, "(+ A 0)", "A", index=0)
-    r2 = rule(ARITH, "(+ A 0)", "(* A 1)", index=1)
+    r1 = rule(ARITH, "(+ A 0)", "A")
+    r2 = rule(ARITH, "(+ A 0)", "(* A 1)")
     r2.hit_count = 5
     rs = ruleset(r1, r2)
     got = normalize(parse_term(ARITH, "(+ y 0)"), rs)
@@ -143,8 +143,8 @@ def test_normalize_outermost_position_first():
 
 def _reference_redex(term, rules):
     """The first (rule, path, bindings) over the rules stably sorted by
-    (-hit_count, insertion_index), each tried at every operator node of the
-    term in preorder."""
+    -hit_count, so that ties go to the rule added first, each tried at every
+    operator node of the term in preorder."""
     paths = []
     stack = [(term, ())]
     while stack:
@@ -153,7 +153,7 @@ def _reference_redex(term, rules):
             paths.append((t, path))
             stack.extend((t.args[i], path + (i,))
                          for i in reversed(range(len(t.args))))
-    for r in sorted(rules, key=lambda r: (-r.hit_count, r.insertion_index)):
+    for r in sorted(rules, key=lambda r: -r.hit_count):
         for t, path in paths:
             if t.label == r.lhs.label:
                 bindings = match(r.lhs, t)
@@ -205,12 +205,12 @@ def _terms(draw, spec, sort, depth, leaves, patterns=()):
 
 @st.composite
 def rewrite_problems(draw):
-    """(spec, rules as (lhs, rhs, hit_count, insertion_index), term).
+    """(spec, rules as (lhs, rhs, hit_count) in order of addition, term).
 
     Left sides may repeat a pattern variable; right sides may grow the term,
     commute the arguments or undo another rule, so some runs end at the
-    step cap; hit counts and insertion indexes are drawn from small ranges,
-    so ties are common; the term may hold pattern variables of its own.
+    step cap; hit counts are drawn from a small range, so ties are common;
+    the term may hold pattern variables of its own.
     """
     spec = draw(st.sampled_from((ARITH, BOOLDOM, LIST)))
     with_vars = {s: list(leaves) + [var(n, s) for n in PATTERN_VARS.get(s, ())]
@@ -228,40 +228,40 @@ def rewrite_problems(draw):
             rhs = app(op, lhs.args[::-1])  # commutation: loops to the cap
         else:
             rhs = draw(_terms(spec, sort, 2, rhs_leaves))
-        rules.append((lhs, rhs, draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+        rules.append((lhs, rhs, draw(st.integers(0, 2))))
     sort = draw(st.sampled_from(spec.principal_sorts))
     term = draw(_terms(spec, sort, 4, with_vars, [lhs for lhs, *_ in rules]))
     return spec, rules, term
 
 
 def _problem(spec, rules, term):
-    """An explicit rewrite problem from (lhs, rhs, hit_count, index) texts."""
+    """An explicit rewrite problem from (lhs, rhs, hit_count) texts."""
     parsed = []
-    for lhs, rhs, hits, index in rules:
-        r = rule(spec, lhs, rhs, index)
-        parsed.append((r.lhs, r.rhs, hits, index))
+    for lhs, rhs, hits in rules:
+        r = rule(spec, lhs, rhs)
+        parsed.append((r.lhs, r.rhs, hits))
     return spec, parsed, parse_term(spec, term)
 
 
 @settings(max_examples=500, deadline=None)
 @given(problem=rewrite_problems())
 @example(problem=_problem(  # nonlinear left side
-    ARITH, [("(+ A A)", "(* 2 A)", 0, 0)], "(* (+ x y) (+ (* x 1) (* x 1)))"))
+    ARITH, [("(+ A A)", "(* 2 A)", 0)], "(* (+ x y) (+ (* x 1) (* x 1)))"))
 @example(problem=_problem(  # preset hit counts
-    ARITH, [("(+ A 0)", "A", 0, 0), ("(+ A 0)", "(* A 1)", 2, 1),
-            ("(* A 1)", "A", 1, 2)], "(+ (* (+ y 0) 1) 0)"))
-@example(problem=_problem(  # a shared insertion index: the first added wins
-    ARITH, [("(* A 1)", "A", 2, 0), ("(+ A B)", "B", 2, 0)], "(+ (* x 1) y)"))
+    ARITH, [("(+ A 0)", "A", 0), ("(+ A 0)", "(* A 1)", 2),
+            ("(* A 1)", "A", 1)], "(+ (* (+ y 0) 1) 0)"))
+@example(problem=_problem(  # tied hit counts: the first added wins
+    ARITH, [("(* A 1)", "A", 2), ("(+ A B)", "B", 2)], "(+ (* x 1) y)"))
 @example(problem=_problem(  # pattern variables inside the term
-    LIST, [("(reverse (reverse C))", "C", 0, 0), ("(append [] C)", "C", 0, 1)],
+    LIST, [("(reverse (reverse C))", "C", 0), ("(append [] C)", "C", 0)],
     "(append [] (reverse (reverse (append C D))))"))
 @example(problem=_problem(  # the step cap
-    BOOLDOM, [("(and A B)", "(and B A)", 0, 0), ("(not (not A))", "A", 1, 1)],
+    BOOLDOM, [("(and A B)", "(and B A)", 0), ("(not (not A))", "A", 1)],
     "(or (and p (not (not q))) r)"))
 def test_normalize_matches_linear_scan(problem):
     spec, rules, term = problem
-    indexed = [Rule(lhs, rhs, hits, index) for lhs, rhs, hits, index in rules]
-    scanned = [Rule(lhs, rhs, hits, index) for lhs, rhs, hits, index in rules]
+    indexed = [Rule(lhs, rhs, hits) for lhs, rhs, hits in rules]
+    scanned = [Rule(lhs, rhs, hits) for lhs, rhs, hits in rules]
     rs = ruleset(*indexed)
     assert is_reducible(term, rs) == (_reference_redex(term, scanned) is not None)
     got = normalize(term, rs)
@@ -272,14 +272,13 @@ def test_normalize_matches_linear_scan(problem):
 
 
 def test_redex_memo_is_dropped_when_a_rule_is_added():
-    rs = ruleset(rule(ARITH, "(* A 1)", "A", 0))
+    rs = ruleset(rule(ARITH, "(* A 1)", "A"))
     term = parse_term(ARITH, "(+ (* (+ x 0) 1) y)")
     first = normalize(term, rs)
     assert first.text == "(+ (+ x 0) y)"
     assert not is_reducible(first, rs)  # (+ x 0) is memoized without redexes
-    rs.add(rule(ARITH, "(+ A 0)", "A", 1))
-    replay = ruleset(*(Rule(r.lhs, r.rhs, r.hit_count, r.insertion_index)
-                       for r in rs.rules))
+    rs.add(rule(ARITH, "(+ A 0)", "A"))
+    replay = ruleset(*(Rule(r.lhs, r.rhs, r.hit_count) for r in rs.rules))
     assert is_reducible(first, rs)
     got = normalize(term, rs)
     want = normalize(term, replay)
@@ -294,7 +293,7 @@ def test_redex_memo_is_dropped_when_a_rule_is_added():
 def test_filter_any_accepts_everything():
     rs = ruleset(rule(ARITH, "(* A 1)", "A"))
     lhs = parse_term(ARITH, "(* A 1)")
-    assert filter_passes("any", lhs, parse_term(ARITH, "A", sort=INT), rs)
+    assert filter_passes("any", lhs, var("A", INT), rs)
 
 
 def test_filter_novelty_rejects_duplicate():

@@ -87,7 +87,8 @@ def test_zero_points_included_linearly_excluded_logarithmically():
     n = np.concatenate([[0.0, 0.0], 2.0 * T200[2:] ** 0.5])
     fit = fit_power_law(GrowthSeries(T200, n))
     assert not fit.degenerate
-    assert fit.n_points == 200
+    resid = n - fit.predict(T200)  # all 200 points, the two zeros included
+    assert fit.rss == float(resid @ resid)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,8 @@ def test_unconverged_fit_reports_first_start_with_projected_scale(monkeypatch):
     series = noisy("stretched_exp", {"a": 120.0, "tau": 35.0, "beta": 1.4}, T200, 0)
     fit = fit_model("stretched_exp", series)
     assert not fit.converged and fit.aic == math.inf
-    assert {k: v for k, v in fit.params.items() if k != "a"} == fit.start_point
+    first = growth._start_points("stretched_exp", T200, None)[0]
+    assert [v for k, v in fit.params.items() if k != "a"] == list(first)
     g = predict("stretched_exp", {**fit.params, "a": 1.0}, T200)
     assert fit.params["a"] == pytest.approx(g @ series.n / (g @ g), rel=1e-12)
     row = fit_csv_row(fit)

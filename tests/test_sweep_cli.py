@@ -382,6 +382,19 @@ def test_cli_sweep_analyze_pipeline(tmp_path, capsys):
     assert (out_dir / "trajectories.svg").exists()
 
 
+def test_cli_report_svg_without_trajectories_is_data_error(tmp_path, capsys):
+    out_dir = tmp_path / "analysis"
+    out_dir.mkdir()
+    (out_dir / "exponents.csv").write_text("domain,b\n")
+    errors = tmp_path / "errors.jsonl"
+    errors.write_text(json.dumps({"domain": "bool", "seed": 0,
+                                  "error": "RuntimeError: boom"}) + "\n")
+    assert main(["report", str(out_dir), "--format", "svg",
+                 "--trajectories", str(errors)]) == 2
+    assert f"{errors}: no trajectories" in capsys.readouterr().err
+    assert not (out_dir / "trajectories.svg").exists()
+
+
 @pytest.mark.parametrize("window", ["-5", "0"])
 def test_cli_analyze_window_below_one_is_data_error(tmp_path, capsys, window):
     out = tmp_path / "t.jsonl"
@@ -450,6 +463,15 @@ def test_cli_ingest_and_ode(tmp_path, capsys):
     assert ode_out.read_text().splitlines()[1] == "1,2"
 
 
+def test_cli_ingest_glob_outside_new_files_is_data_error(tmp_path, capsys):
+    log = tmp_path / "history.log"
+    log.write_text(format_log([CommitRecord("a", "2020-01", ["A.lean"])]))
+    out = tmp_path / "monthly.csv"
+    assert main(["ingest", str(log), "--glob", "*.lean", "--out", str(out)]) == 2
+    assert "a glob applies only in new_files mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--throughput", "-1", "--exponent", "0", "--t-end", "50"],
      "throughput must be non-negative"),
@@ -471,6 +493,10 @@ def test_cli_ingest_and_ode(tmp_path, capsys):
       "--t-end", "50"], "coverage must be finite"),
     (["--throughput", "1", "--exponent", "0", "--n0", "inf", "--t-end", "50"],
      "n0 must be finite"),
+    (["--throughput", "1", "--exponent", "0", "--t-end", "0.5"],
+     "t_end must be at least 1"),
+    (["--throughput", "1", "--exponent", "0", "--t-end", "-5"],
+     "t_end must be at least 1"),
 ])
 def test_cli_ode_bad_input_is_data_error(tmp_path, capsys, argv, message):
     out = tmp_path / "ode.csv"
@@ -522,6 +548,31 @@ def test_cli_folds_below_two_is_data_error(tmp_path, capsys, command, folds):
     name, *rest = command
     assert main([name, str(exponents), *rest, "--folds", folds]) == 2
     assert "folds must be >= 2" in capsys.readouterr().err
+
+
+EXPONENT_ROWS = [(domain, seed) for domain in ("arith", "list") for seed in range(4)]
+
+
+@pytest.mark.parametrize("command", [["regress", "--domains", "arith"],
+                                     ["transfer", "--train", "arith",
+                                      "--test", "list"],
+                                     ["pooled"]])
+@pytest.mark.parametrize("table,message", [
+    ("domain,generator,filter,batch_size,seed,b\n"
+     + "".join(f"{d},random,any,40,{s},0.{s + 5}\n" for d, s in EXPONENT_ROWS),
+     "{path}: missing columns depth, degenerate"),
+    ("domain,generator,filter,depth,batch_size,seed,b,degenerate\n"
+     + "".join(f"{d},random,any,2,40,{s},0.{s + 5},0\n" for d, s in EXPONENT_ROWS)
+     + "list,random,any,2,40,9,high,0\n",
+     "{path}:10: "),
+], ids=["missing_columns", "bad_value"])
+def test_cli_malformed_exponent_table_is_data_error(tmp_path, capsys, command,
+                                                    table, message):
+    exponents = tmp_path / "exponents.csv"
+    exponents.write_text(table)
+    name, *rest = command
+    assert main([name, str(exponents), *rest]) == 2
+    assert message.format(path=exponents) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["(+ A q) => A", "(+ A 0 => A", "( => A"])

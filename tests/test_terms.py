@@ -11,8 +11,8 @@ from eqgrow.terms import (
 )
 
 
-def T(spec, text, sort=None):
-    return parse_term(spec, text, sort=sort)
+def T(spec, text):
+    return parse_term(spec, text)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +187,14 @@ def test_count_matches_enumeration(spec, sort, depths):
         assert count_terms(spec, sort, d) == len(enumerate_terms(spec, sort, d))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     with pytest.raises(EnumerationTooLarge):
         enumerate_terms(LIST, INTLIST, 4)
-    enumerate_terms(LIST, INTLIST, 2, cap=100)  # 69 terms, under cap
+    monkeypatch.setattr("eqgrow.terms.ENUM_CAP", 69)
+    assert len(enumerate_terms(LIST, INTLIST, 2)) == 69  # at the cap
+    monkeypatch.setattr("eqgrow.terms.ENUM_CAP", 68)
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_terms(LIST, INTLIST, 2)
 
 
 def test_enumeration_terms_distinct():
@@ -236,12 +240,6 @@ def _grammar_terms(draw, spec, sort, depth):
     return draw(st.sampled_from(spec.leaves_by_sort[sort]))
 
 
-def _root_var_sort(term):
-    """The sort a bare root pattern variable needs to be given; None
-    otherwise."""
-    return term.sort if term.kind == "pvar" else None
-
-
 @settings(max_examples=300, deadline=None)
 @given(spec=st.sampled_from((ARITH, BOOLDOM, LIST)), data=st.data())
 def test_print_parse_roundtrip(spec, data):
@@ -251,8 +249,9 @@ def test_print_parse_roundtrip(spec, data):
     lhs_pattern, rhs_pattern = generalize(lhs, rhs)
     for term, var_sorts in ((lhs, None), (rhs, None), (lhs_pattern, None),
                             (rhs_pattern, pattern_variables(lhs_pattern))):
-        back = parse_term(spec, term.text, sort=_root_var_sort(term),
-                          var_sorts=var_sorts)
+        if term.kind == "pvar":  # a bare pattern variable's sort is given
+            var_sorts = {term.label: term.sort}
+        back = parse_term(spec, term.text, var_sorts=var_sorts)
         assert (back.text, back.sort) == (term.text, term.sort)
 
 

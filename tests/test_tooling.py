@@ -4,7 +4,8 @@ The benchmark's tracer wraps eqgrow functions by module and attribute
 name, so a renamed or deleted function would silently drop out of a traced
 run; every name it wraps must still resolve.  And every public definition
 in the package needs a use in src/ or bench/, so that code only the tests
-reach does not pile up.
+reach does not pile up; so does every field, method and property of a
+class in the package.
 """
 
 import ast
@@ -40,10 +41,14 @@ UNREFERENCED = {
 }
 
 
+def _sources() -> dict:
+    return {path: path.read_text(encoding="utf-8")
+            for folder in ("src", "bench")
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
 def test_public_definitions_have_a_use():
-    sources = {path: path.read_text(encoding="utf-8")
-               for folder in ("src", "bench")
-               for path in sorted((ROOT / folder).rglob("*.py"))}
+    sources = _sources()
     unused = []
     for path in sorted((ROOT / "src" / "eqgrow").glob("*.py")):
         for node in ast.parse(sources[path]).body:
@@ -54,3 +59,33 @@ def test_public_definitions_have_a_use():
                 if uses < 2:  # the definition itself is one
                     unused.append(node.name)
     assert sorted(unused) == sorted(UNREFERENCED)
+
+
+def test_class_members_have_a_use():
+    # A member is used when src/ or bench/ reads it as an attribute or names
+    # it in a string (getattr by name).  Names are not tied to their class,
+    # so a member that shares its name with one read elsewhere passes.
+    sources = _sources()
+    used = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unused = []
+    for path in sorted((ROOT / "src" / "eqgrow").glob("*.py")):
+        for cls in ast.walk(ast.parse(sources[path])):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    name = item.name
+                else:
+                    continue
+                if name not in used:
+                    unused.append(f"{cls.name}.{name}")
+    assert unused == []
