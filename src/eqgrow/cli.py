@@ -21,7 +21,8 @@ from .engine import SUBSTRATES, load_rules
 from .growth import (DEFAULT_MODELS, MODELS, bootstrap_ci, fit_csv_row,
                      FIT_CSV_HEADER, oos_forecast, read_series_csv,
                      select_model, series_from_sizes, write_series_csv)
-from .ingest import monthly_series, parse_log, write_monthly_csv
+from .ingest import (LogParseError, monthly_series, parse_log,
+                     write_monthly_csv)
 from .regression import (build_features, kfold_cv, pooled_eval, transfer_eval)
 from .report import (domain_table_text, read_exponents_csv, render_table,
                      svg_line_plot, write_csv, write_domain_table_csv,
@@ -194,8 +195,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    records = read_sweep_file(args.trajectories)
-    report = analyze(records, windows=tuple(args.windows),
+    report = analyze(_trajectories(args.trajectories),
+                     windows=tuple(args.windows),
                      models=tuple(args.models))
     os.makedirs(args.out_dir, exist_ok=True)
     write_exponents_csv(os.path.join(args.out_dir, "exponents.csv"), report)
@@ -289,11 +290,15 @@ def _cmd_pooled(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    if args.log == "-":
-        records = parse_log(sys.stdin)
-    else:
-        with open(args.log, encoding="utf-8") as fh:
-            records = parse_log(fh)
+    try:
+        if args.log == "-":
+            records = parse_log(sys.stdin)
+        else:
+            with open(args.log, encoding="utf-8") as fh:
+                records = parse_log(fh)
+    except LogParseError as exc:
+        name = "<stdin>" if args.log == "-" else args.log
+        raise LogParseError(f"{name}: {exc}") from None
     series = monthly_series(records, mode=args.mode, glob=args.glob)
     write_monthly_csv(args.out, series)
     total = series.cumulative[-1] if series.cumulative else 0

@@ -26,7 +26,7 @@ import numpy as np
 
 from .growth import GrowthSeries
 from .terms import (SubstrateSpec, Term, count_terms, enumerate_terms, match,
-                    pattern_variables, substitute, unify, var)
+                    pattern_variables, substitute, term_depth, unify, var)
 
 N0_LIFT = 1e-12  # lifts the S = 0 fixed point when k > 0
 
@@ -68,6 +68,7 @@ def _rk4_step(params: ClosureParams, s: float, dt: float) -> float:
 
 
 ORIGIN_REFINE = 100  # finer steps over t in [0, 1]; S^k is non-smooth at S ~ 0
+STEP_CAP = 10_000_000  # most steps an integration may plan
 
 
 def integrate_closure(params: ClosureParams, t_grid, dt: float) -> np.ndarray:
@@ -104,11 +105,17 @@ def integrate_closure(params: ClosureParams, t_grid, dt: float) -> np.ndarray:
 
 def simulate_ode(params: ClosureParams, t_end: float, dt: float) -> GrowthSeries:
     """Integrate the closure ODE and sample at unit time spacing, from t = 1
-    to t_end; a t_end below 1 or not finite raises ValueError."""
+    to t_end; a t_end below 1 or not finite, or one more than STEP_CAP
+    steps away, raises ValueError before any step."""
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < 1:
         raise ValueError(f"t_end must be at least 1, got {t_end}")
+    # a step never passes a sample point, so at least one step per unit
+    steps = t_end / min(dt, 1.0) if dt > 0 else 0.0
+    if steps > STEP_CAP:
+        raise ValueError(f"t_end {t_end:g} at dt {dt:g} needs {steps:.3g} "
+                         f"steps, over {STEP_CAP}")
     t_grid = np.arange(1.0, math.floor(t_end) + 1.0)
     values = integrate_closure(params, t_grid, dt)
     return GrowthSeries(t_grid, values)
@@ -165,7 +172,7 @@ def root_instances(lhs: Term, spec: SubstrateSpec, depth: int) -> int:
     """How many depth-``depth`` terms of the left side's sort it matches at
     the root: per distinct pattern variable, the terms of its sort that fit
     in the depth left at its deepest occurrence, multiplied together."""
-    if lhs.depth > depth:
+    if term_depth(lhs) > depth:
         return 0
     return math.prod(count_terms(spec, sort, depth - level + 1)
                      for sort, level in _pattern_vars(lhs).values())

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .terms import (
-    BOOL, INT, INTLIST, SubstrateSpec, SUBSTRATES, Term, TermError, evaluate,
+    INT, INTLIST, SubstrateSpec, SUBSTRATES, Term, TermError, evaluate,
     generalize, match, parse_term, pattern_variables, substitute, subterms,
 )
 
@@ -44,12 +44,6 @@ MAX_CANDIDATE_SIZE = 64  # safety bound on compositional joins
 
 PRNG_ID = f"philox4x64:numpy-{np.__version__}"
 ENGINE_VERSION = f"eqgrow-{__version__}"
-
-BOOL_WORLDS = tuple(
-    {"p": p, "q": q, "r": r}
-    for p, q, r in itertools.product((False, True), repeat=3)
-)
-
 
 class ConfigError(ValueError):
     """Configuration outside the supported sweep sets."""
@@ -286,14 +280,6 @@ def is_reducible(term: Term, ruleset: RuleSet) -> bool:
     return bool(ruleset.redexes(term))
 
 
-def filter_passes(kind: str, lhs: Term, rhs: Term, ruleset: RuleSet) -> bool:
-    if kind == "any":
-        return True
-    if kind == "novelty":
-        return not is_reducible(lhs, ruleset)
-    raise ConfigError(f"unknown filter {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Environments and soundness
 # ---------------------------------------------------------------------------
@@ -302,8 +288,6 @@ def _sample_value(sort: str, rng: np.random.Generator):
     """Random value of a sort: ints uniform in [-10, 10], list lengths in [0, 5]."""
     if sort == INT:
         return int(rng.integers(INT_LOW, INT_HIGH + 1))
-    if sort == BOOL:
-        return bool(rng.integers(0, 2))
     if sort == INTLIST:
         length = int(rng.integers(0, LIST_LEN_MAX + 1))
         return tuple(
@@ -316,20 +300,25 @@ def sample_env(spec: SubstrateSpec, rng: np.random.Generator) -> dict:
     return {name: _sample_value(sort, rng) for name, sort in spec.variables}
 
 
+def _environments(spec: SubstrateSpec, rng: np.random.Generator):
+    """The environments a term is judged on: every assignment of the boolean
+    domain's variables, or a lazy stream of SOUND_SAMPLES sampled ones, so
+    that a caller that stops early draws no more than it read."""
+    if spec.exhaustive_bool:
+        names = [name for name, _ in spec.variables]
+        return [dict(zip(names, values)) for values
+                in itertools.product((False, True), repeat=len(names))]
+    return (sample_env(spec, rng) for _ in range(SOUND_SAMPLES))
+
+
 def sound(lhs: Term, rhs: Term, spec: SubstrateSpec,
           rng: np.random.Generator) -> bool:
-    """Semantic equivalence check.
-
-    Boolean domain: exhaustive over the 8 assignments.  Other domains: 12
-    random environments, exact value equality on all of them.
-    """
-    if spec.exhaustive_bool:
-        return all(evaluate(lhs, w) == evaluate(rhs, w) for w in BOOL_WORLDS)
-    for _ in range(SOUND_SAMPLES):
-        env = sample_env(spec, rng)
-        if evaluate(lhs, env) != evaluate(rhs, env):
-            return False
-    return True
+    """Semantic equivalence check: exact value equality on every boolean
+    assignment, or on 12 random environments drawn until the first mismatch.
+    The discovery loop calls it for the sampled domains only: a boolean
+    fingerprint already is this check."""
+    return all(evaluate(lhs, env) == evaluate(rhs, env)
+               for env in _environments(spec, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +478,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
 
     for _ in range(config.epochs):
         ruleset.clear_memo()
-        if spec.exhaustive_bool:
-            envs = BOOL_WORLDS
-        else:
-            envs = [sample_env(spec, rng) for _ in range(SOUND_SAMPLES)]
+        envs = list(_environments(spec, rng))
 
         groups: dict[tuple, list[Term]] = {}
         for _ in range(config.batch_size):
@@ -513,7 +499,9 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
             rhs_c = min(members, key=lambda t: (t.size, t.text))
             if lhs_c.size <= rhs_c.size:
                 continue
-            if not sound(lhs_c, rhs_c, spec, rng):
+            # A boolean fingerprint is the truth table of the normal form, and
+            # valid rules keep it: the two ends agree on every assignment.
+            if not spec.exhaustive_bool and not sound(lhs_c, rhs_c, spec, rng):
                 continue
             lhs, rhs = generalize(lhs_c, rhs_c)
             if pattern_variables(rhs).keys() - pattern_variables(lhs).keys():
@@ -521,7 +509,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
             key = (lhs.text, rhs.text)
             if key in seen:
                 continue
-            if not filter_passes(config.filter, lhs, rhs, ruleset):
+            if config.filter == "novelty" and is_reducible(lhs, ruleset):
                 continue
             ruleset.add(Rule(lhs, rhs))
             seen.add(key)

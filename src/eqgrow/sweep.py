@@ -114,15 +114,13 @@ def _done(records: dict, config: ArchConfig) -> bool:
 
 
 def read_sweep_file(path) -> list[dict]:
-    """The records of a sweep file, or [] when there is none.
+    """The records of a sweep file.
 
     A last line without its line break that does not parse is the torn
     tail of a killed write and is dropped, so its configuration reruns.
     A malformed line anywhere else, or a line that is not a JSON object,
     raises ValueError.
     """
-    if not os.path.exists(path):
-        return []
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     records = []
@@ -173,7 +171,8 @@ def run_sweep(plan: SweepPlan, out_path, progress=None,
     resumed (ValueError).  Returns every record of the plan (existing plus
     new), in plan order.
     """
-    existing = {_record_key(r): r for r in read_sweep_file(out_path)}
+    existing = ({_record_key(r): r for r in read_sweep_file(out_path)}
+                if os.path.exists(out_path) else {})
     configs = plan.configs()
     pending = [c for c in configs if not _done(existing, c)
                or (rules_dir is not None

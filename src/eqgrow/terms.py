@@ -5,7 +5,7 @@ function/predicate names, and operator applications.  Uppercase variable
 names (A, B, C, ...) are pattern variables; lowercase names are substrate
 variables.  ``var`` makes that decision, once per variable, by giving a
 pattern variable the kind "pvar"; every other check compares kinds.
-Every term carries its sort, node count, depth, and a canonical
+Every term carries its sort, node count, and a canonical
 prefix-notation text form, e.g. ``(+ x (* y 1))`` or ``(map inc xs)``.
 Equality and hashing go through the canonical text, so terms behave as
 values.
@@ -19,6 +19,7 @@ functions and predicates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -62,8 +63,8 @@ class Term:
     equality and hashing.
     """
 
-    __slots__ = ("kind", "label", "value", "args", "sort", "size", "depth",
-                 "text", "_hash")
+    __slots__ = ("kind", "label", "value", "args", "sort", "size", "text",
+                 "_hash")
 
     def __init__(self, kind, label, value, args, sort):
         self.kind = kind
@@ -73,11 +74,9 @@ class Term:
         self.sort = sort
         if args:
             self.size = 1 + sum(a.size for a in args)
-            self.depth = 1 + max(a.depth for a in args)
             self.text = "(" + label + " " + " ".join(a.text for a in args) + ")"
         else:
             self.size = 1
-            self.depth = 1
             self.text = label
         self._hash = hash((self.text, sort))
 
@@ -439,6 +438,15 @@ def subterms(term: Term) -> list[Term]:
     return out
 
 
+def term_depth(term: Term) -> int:
+    """The number of nodes on a longest root-to-leaf path."""
+    depth, level = 0, [term]
+    while level:
+        depth += 1
+        level = [a for t in level for a in t.args]
+    return depth
+
+
 def pattern_variables(term: Term) -> dict[str, str]:
     """Each pattern variable's name and sort, in first-occurrence preorder."""
     out: dict[str, str] = {}
@@ -457,34 +465,30 @@ def pattern_variables(term: Term) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 ENUM_CAP = 10_000_000
+COUNT_BITS_CAP = 1024  # counts square with each depth; past this, refuse
 
 
 def count_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> int:
     """Exact count of well-sorted terms of ``sort`` with depth <= max_depth.
 
-    Per-sort recurrence: leaves plus, for each operator of the sort, the
-    product of the depth-(d-1) counts of its argument sorts.
+    Counted bottom-up, one depth at a time, for every sort: leaves plus,
+    for each operator of the sort, the product of the depth-(d-1) counts of
+    its argument sorts.  Refuses with EnumerationTooLarge, naming the
+    depth, once a count passes COUNT_BITS_CAP bits.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    memo: dict[tuple[str, int], int] = {}
-
-    def count(s: str, d: int) -> int:
-        key = (s, d)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = len(spec.leaves_by_sort.get(s, ()))
-        if d > 1:
-            for op in spec.ops_by_result.get(s, ()):
-                prod = 1
-                for arg_sort in op.arg_sorts:
-                    prod *= count(arg_sort, d - 1)
-                total += prod
-        memo[key] = total
-        return total
-
-    return count(sort, max_depth)
+    counts: dict[str, int] = {}  # depth 0 holds no terms
+    for d in range(1, max_depth + 1):
+        counts = {s: len(spec.leaves_by_sort.get(s, ()))
+                  + sum(math.prod(counts.get(a, 0) for a in op.arg_sorts)
+                        for op in spec.ops_by_result.get(s, ()))
+                  for s in spec.leaves_by_sort.keys() | spec.ops_by_result.keys()}
+        if max(counts.values()).bit_length() > COUNT_BITS_CAP:
+            raise EnumerationTooLarge(
+                f"depth {max_depth} too large: more than 2**{COUNT_BITS_CAP} "
+                f"terms of depth {d}")
+    return counts.get(sort, 0)
 
 
 def enumerate_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> list[Term]:

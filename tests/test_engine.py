@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -7,13 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from eqgrow.engine import (
     NORMALIZE_STEP_CAP, ArchConfig, ConfigError, GeneratorState, Rule,
-    RuleSet, dump_rules, filter_passes, generate_candidate, is_reducible,
+    RuleSet, dump_rules, generate_candidate, is_reducible,
     load_rules, normalize, record_to_json, run_discovery, sound,
-    trajectory_record, _config_rng,
+    trajectory_record, _config_rng, _environments,
 )
 from eqgrow.terms import (
-    ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST, SUBSTRATES, Term, app, match,
-    parse_term, pattern_variables, substitute, subterms, var,
+    ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST, SUBSTRATES, Term, app, evaluate,
+    match, parse_term, pattern_variables, substitute, subterms, term_depth,
+    var,
 )
 
 BOOL_SMOKE_FINAL = 214  # bool/random/any/d3/bs80/seed0, 30 epochs
@@ -61,7 +63,7 @@ def test_random_respects_depth_cap():
     state = GeneratorState(rng)
     for _ in range(200):
         cand = generate_candidate(state, "random", BOOLDOM, 2, "Bool")
-        assert cand.depth <= 2
+        assert term_depth(cand) <= 2
 
 
 def test_generators_return_requested_sort():
@@ -290,28 +292,35 @@ def test_redex_memo_is_dropped_when_a_rule_is_added():
 # filters
 # ---------------------------------------------------------------------------
 
+def _reducible_commits(config):
+    """How many of a run's rules an earlier rule of the run rewrites."""
+    rs, count = RuleSet(), 0
+    for r in run_discovery(config).rules:
+        count += is_reducible(r.lhs, rs)
+        rs.add(r)
+    return count
+
+
 def test_filter_any_accepts_everything():
-    rs = ruleset(rule(ARITH, "(* A 1)", "A"))
-    lhs = parse_term(ARITH, "(* A 1)")
-    assert filter_passes("any", lhs, var("A", INT), rs)
+    assert _reducible_commits(
+        ArchConfig("arith", "random", "any", 3, 40, 0, 10)) > 0
 
 
 def test_filter_novelty_rejects_duplicate():
     rs = ruleset(rule(ARITH, "(* A 1)", "A"))
-    lhs = parse_term(ARITH, "(* A 1)")
-    assert not filter_passes("novelty", lhs, lhs.args[0], rs)
+    assert is_reducible(parse_term(ARITH, "(* A 1)"), rs)
+    assert _reducible_commits(
+        ArchConfig("arith", "random", "novelty", 3, 40, 0, 10)) == 0
 
 
 def test_filter_novelty_empty_ruleset_accepts():
-    lhs = parse_term(ARITH, "(* A 1)")
-    assert filter_passes("novelty", lhs, lhs.args[0], RuleSet())
+    assert not is_reducible(parse_term(ARITH, "(* A 1)"), RuleSet())
 
 
 def test_filter_novelty_rejects_reducible_subterm():
     rs = ruleset(rule(ARITH, "(+ A 0)", "A"))
-    probe = parse_term(ARITH, "(* B (+ C 0))")
-    assert is_reducible(probe, rs)
-    assert not filter_passes("novelty", probe, probe.args[0], rs)
+    assert is_reducible(parse_term(ARITH, "(* B (+ C 0))"), rs)
+    assert not is_reducible(parse_term(ARITH, "(* B (+ C 1))"), rs)
 
 
 def test_novelty_probe_does_not_touch_hit_counts():
@@ -337,6 +346,45 @@ def test_discovery_deterministic():
     assert [r.format() for r in a.rules] == [r.format() for r in b.rules]
     assert (record_to_json(trajectory_record(a.trajectory))
             == record_to_json(trajectory_record(b.trajectory)))
+
+
+def test_bool_discovery_makes_no_sound_call(monkeypatch):
+    """The boolean fingerprint is the exhaustive check already."""
+    def refuse(*args):
+        raise AssertionError("sound called in a boolean run")
+    monkeypatch.setattr("eqgrow.engine.sound", refuse)
+    cfg = ArchConfig("bool", "random", "any", 3, 80, 0, 30)
+    assert run_discovery(cfg).trajectory.sizes[-1] == BOOL_SMOKE_FINAL
+
+
+_BOOL_OPS = BOOLDOM.ops_by_name
+_bool_terms = st.recursive(
+    st.sampled_from(BOOLDOM.leaves_by_sort[BOOL]),
+    lambda inner: st.one_of(
+        st.builds(lambda a: app(_BOOL_OPS["not"], [a]), inner),
+        st.builds(lambda op, a, b: app(_BOOL_OPS[op], [a, b]),
+                  st.sampled_from(("and", "or")), inner, inner)),
+    max_leaves=12)
+
+
+@functools.cache
+def _bool_run_rules():
+    return tuple(run_discovery(
+        ArchConfig("bool", "random", "any", 3, 80, 0, 30)).rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term=_bool_terms)
+def test_bool_normalize_keeps_the_truth_table(term):
+    """Committed boolean rules are valid, so their normal forms keep each
+    term's value on all 8 assignments; that is why a boolean run needs no
+    soundness check beyond its fingerprint."""
+    worlds = _environments(BOOLDOM, None)
+    # fresh hit counts, so that each example replays alone
+    nf = normalize(term, ruleset(*(Rule(r.lhs, r.rhs)
+                                   for r in _bool_run_rules())))
+    assert ([evaluate(nf, w) for w in worlds]
+            == [evaluate(term, w) for w in worlds])
 
 
 def test_bool_smoke_run_golden():

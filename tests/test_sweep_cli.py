@@ -312,6 +312,30 @@ def test_cli_data_error_exit_2(capsys):
     assert main(["fit", "/nonexistent/series.csv"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    "fit {missing}", "bootstrap {missing}", "forecast {missing} --split 5",
+    "analyze {missing} --out-dir {tmp}/analysis",
+    "report {tmp} --format svg --trajectories {missing}",
+], ids=["fit", "bootstrap", "forecast", "analyze", "report"])
+def test_cli_missing_sweep_file_is_named(tmp_path, capsys, command):
+    (tmp_path / "exponents.csv").write_text("domain,b\n")
+    missing = tmp_path / "nope.jsonl"
+    assert main(command.format(tmp=tmp_path, missing=missing).split()) == 2
+    err = capsys.readouterr().err
+    assert "No such file" in err and str(missing) in err
+    assert not (tmp_path / "analysis").exists()
+
+
+def test_cli_analyze_error_only_file_is_named(tmp_path, capsys):
+    errors = tmp_path / "errors.jsonl"
+    errors.write_text(json.dumps({"domain": "bool", "seed": 0,
+                                  "error": "RuntimeError: boom"}) + "\n")
+    out_dir = tmp_path / "analysis"
+    assert main(["analyze", str(errors), "--out-dir", str(out_dir)]) == 2
+    assert f"{errors}: no trajectories" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_sweep_non_object_line_is_data_error(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     run_sweep(SweepPlan(**{**SMALL_PLAN.__dict__, "depths": (2,)}), out)
@@ -497,11 +521,34 @@ def test_cli_ingest_glob_outside_new_files_is_data_error(tmp_path, capsys):
      "t_end must be at least 1"),
     (["--throughput", "1", "--exponent", "0", "--t-end", "-5"],
      "t_end must be at least 1"),
+    (["--throughput", "1", "--exponent", "0.5", "--t-end", "1e7",
+      "--dt", "1e-6"], "t_end 1e+07 at dt 1e-06 needs 1e+13 steps"),
+    (["--throughput", "1", "--exponent", "0", "--t-end", "1e8", "--dt", "10"],
+     "t_end 1e+08 at dt 10 needs 1e+08 steps"),
 ])
 def test_cli_ode_bad_input_is_data_error(tmp_path, capsys, argv, message):
     out = tmp_path / "ode.csv"
     assert main(["ode", *argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_ode_step_cap(tmp_path, capsys, monkeypatch):
+    argv = ["ode", "--throughput", "1", "--exponent", "0", "--t-end", "10",
+            "--dt", "0.1", "--out", str(tmp_path / "ode.csv")]
+    monkeypatch.setattr("eqgrow.closure.STEP_CAP", 100)
+    assert main(argv) == 0
+    monkeypatch.setattr("eqgrow.closure.STEP_CAP", 99)
+    assert main(argv) == 2
+    assert "t_end 10 at dt 0.1 needs 100 steps, over 99" in capsys.readouterr().err
+
+
+def test_cli_ingest_malformed_log_names_the_file(tmp_path, capsys):
+    log = tmp_path / "history.log"
+    log.write_text("commit a 2021-05-03T00:00:00+00:00\n\ncommit onlyhash\n")
+    out = tmp_path / "monthly.csv"
+    assert main(["ingest", str(log), "--out", str(out)]) == 2
+    assert f"{log}: line 3: malformed commit line" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -623,6 +670,17 @@ def test_cli_mu_counts_beyond_the_enumeration_cap(tmp_path, capsys, domain, dept
     rules.write_text(MU_RULES[domain])
     assert main(["mu", str(rules), "--domain", domain, "--depth", str(depth)]) == 0
     assert f"over 2 rules at depth {depth}" in capsys.readouterr().out
+
+
+def test_cli_mu_refuses_a_count_past_the_bit_cap(tmp_path, capsys):
+    rules = tmp_path / "arith.rules"
+    rules.write_text(MU_RULES["arith"])
+    argv = ["mu", str(rules), "--domain", "arith", "--depth"]
+    assert main(argv + ["9"]) == 0   # 932-bit space
+    assert "over 2 rules at depth 9" in capsys.readouterr().out
+    for depth in ("10", "50", "2000"):
+        assert main(argv + [depth]) == 2
+        assert f"depth {depth} too large" in capsys.readouterr().err
 
 
 def test_cli_mu_subterm_positions_past_the_cap_is_data_error(tmp_path, capsys):

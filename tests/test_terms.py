@@ -7,7 +7,7 @@ from eqgrow.terms import (
     ARITH, BOOL, BOOLDOM, EnumerationTooLarge, FUN1, INT, INTLIST, LIST, PRED,
     SUBSTRATES, Term, app, const, count_terms, enumerate_terms, evaluate,
     generalize, match, parse_term, pattern_variables, subterms, substitute,
-    var,
+    term_depth, var,
 )
 
 
@@ -197,6 +197,17 @@ def test_enumeration_cap(monkeypatch):
         enumerate_terms(LIST, INTLIST, 2)
 
 
+def test_count_bit_cap(monkeypatch):
+    assert count_terms(ARITH, INT, 9).bit_length() == 932
+    with pytest.raises(EnumerationTooLarge, match="depth 2000 too large"):
+        count_terms(ARITH, INT, 2000)
+    monkeypatch.setattr("eqgrow.terms.COUNT_BITS_CAP", 14)
+    assert count_terms(ARITH, INT, 3) == 12_174  # 14 bits, at the cap
+    monkeypatch.setattr("eqgrow.terms.COUNT_BITS_CAP", 13)
+    with pytest.raises(EnumerationTooLarge, match="depth 3 too large"):
+        count_terms(ARITH, INT, 3)
+
+
 def test_enumeration_terms_distinct():
     terms = enumerate_terms(LIST, INTLIST, 2)
     assert len({t.text for t in terms}) == len(terms)
@@ -220,7 +231,7 @@ def test_size_depth_bookkeeping_random_terms():
         spec, sort = specs[i % len(specs)]
         term = _grow(spec, sort, 4, rng)
         size, depth = _recompute(term)
-        assert term.size == size and term.depth == depth
+        assert term.size == size and term_depth(term) == depth
 
 
 def test_parse_print_roundtrip_enumerated():

@@ -4,8 +4,8 @@ The benchmark's tracer wraps eqgrow functions by module and attribute
 name, so a renamed or deleted function would silently drop out of a traced
 run; every name it wraps must still resolve.  And every public definition
 in the package needs a use in src/ or bench/, so that code only the tests
-reach does not pile up; so does every field, method and property of a
-class in the package.
+reach does not pile up; so does every field, slot, method and property of
+a class in the package.
 """
 
 import ast
@@ -61,17 +61,30 @@ def test_public_definitions_have_a_use():
     assert sorted(unused) == sorted(UNREFERENCED)
 
 
+def _slots(node) -> list:
+    """The name constants of a ``__slots__ = (...)`` assignment, else []."""
+    if (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in node.targets)):
+        return [c for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
+    return []
+
+
 def test_class_members_have_a_use():
     # A member is used when src/ or bench/ reads it as an attribute or names
-    # it in a string (getattr by name).  Names are not tied to their class,
-    # so a member that shares its name with one read elsewhere passes.
+    # it in a string (getattr by name); a slot's own declaration does not
+    # count.  Names are not tied to their class, so a member that shares its
+    # name with one read elsewhere passes.
     sources = _sources()
     used = set()
     for text in sources.values():
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        declared = {id(c) for node in ast.walk(tree) for c in _slots(node)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in declared):
                 used.add(node.value)
     unused = []
     for path in sorted((ROOT / "src" / "eqgrow").glob("*.py")):
@@ -80,12 +93,12 @@ def test_class_members_have_a_use():
                 continue
             for item in cls.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    name = item.target.id
+                    names = [item.target.id]
                 elif isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    name = item.name
+                    names = [item.name]
                 else:
-                    continue
-                if name not in used:
-                    unused.append(f"{cls.name}.{name}")
+                    names = [c.value for c in _slots(item)]
+                unused += [f"{cls.name}.{name}" for name in names
+                           if name not in used]
     assert unused == []
