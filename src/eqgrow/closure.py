@@ -26,7 +26,7 @@ import numpy as np
 
 from .growth import GrowthSeries
 from .terms import (SubstrateSpec, Term, count_terms, enumerate_terms, match,
-                    pattern_variables, substitute, term_depth, unify, var)
+                    pattern_variables, substitute, unify, var)
 
 N0_LIFT = 1e-12  # lifts the S = 0 fixed point when k > 0
 
@@ -154,28 +154,22 @@ class CoverageReport:
     space_size: int
 
 
-def _pattern_vars(lhs: Term) -> dict[str, tuple[str, int]]:
-    """Each pattern variable's sort and the deepest level it occurs at
-    (the root is level 1)."""
-    out: dict[str, tuple[str, int]] = {}
-    stack = [(lhs, 1)]
-    while stack:
-        t, level = stack.pop()
-        if t.kind == "pvar":
-            deepest = out.get(t.label, (t.sort, 0))[1]
-            out[t.label] = (t.sort, max(deepest, level))
-        stack.extend((a, level + 1) for a in t.args)
-    return out
-
-
 def root_instances(lhs: Term, spec: SubstrateSpec, depth: int) -> int:
     """How many depth-``depth`` terms of the left side's sort it matches at
-    the root: per distinct pattern variable, the terms of its sort that fit
-    in the depth left at its deepest occurrence, multiplied together."""
-    if term_depth(lhs) > depth:
-        return 0
-    return math.prod(count_terms(spec, sort, depth - level + 1)
-                     for sort, level in _pattern_vars(lhs).values())
+    the root: 0 when the left side is deeper than ``depth``, else, per
+    distinct pattern variable, the terms of its sort that fit in the least
+    depth left at any of its occurrences, multiplied together."""
+    least: dict[tuple[str, str], int] = {}  # (name, sort): least depth left
+    stack = [(lhs, depth)]
+    while stack:
+        t, left = stack.pop()
+        if left < 1:
+            return 0
+        if t.kind == "pvar":
+            key = (t.label, t.sort)
+            least[key] = min(left, least.get(key, left))
+        stack.extend((a, left - 1) for a in t.args)
+    return math.prod(count_terms(spec, sort, left) for (_, sort), left in least.items())
 
 
 def _renamed_apart(lhs: Term) -> Term:
@@ -220,9 +214,10 @@ def estimate_mu(lhss: list[Term], spec: SubstrateSpec, depth: int,
             return len(covers[i] & covers[j])
     else:
         sizes = [root_instances(lhs, spec, depth) for lhs in lhss]
+        apart = [_renamed_apart(lhs) for lhs in lhss]
 
         def common(i: int, j: int) -> int:
-            both = unify(lhss[i], _renamed_apart(lhss[j]))
+            both = unify(lhss[i], apart[j])
             return 0 if both is None else root_instances(both, spec, depth)
     fractions = [size / totals[lhs.sort] for lhs, size in zip(lhss, sizes)]
     n = len(lhss)

@@ -1,14 +1,15 @@
 """Equational rule discovery over the typed substrates.
 
-Each discovery epoch draws a batch of candidate terms from a generator,
-normalizes them against the current rule set, groups them by the semantic
-fingerprint of their normal forms (evaluation on shared environments,
-exhaustive worlds for the boolean domain), and turns each group of two or
-more into a candidate equation: the largest member oriented onto the
-smallest.  Sound, strictly size-decreasing pairs are generalized to pattern
-rules, passed through the acceptance filter, and committed.  Subterms of
-committed equations feed a pool that the compositional generators draw
-from.
+Each discovery epoch draws a batch of candidate terms of the substrate's
+principal sorts (its operators' result sorts) from a generator, normalizes
+them against the current rule set, groups them by the semantic fingerprint
+of their normal forms (evaluation on shared environments: every
+assignment when all variables are Bool, as in the boolean domain), and
+turns each group of two or more into a candidate equation: the largest
+member oriented onto the smallest.  Sound, strictly size-decreasing pairs
+are generalized to pattern rules, passed through the acceptance filter, and
+committed.  Subterms of committed equations feed a pool that the
+compositional generators draw from.
 
 A run is a pure function of its configuration: the pseudo-random stream is
 a counter-based Philox generator keyed by the configuration fields, and all

@@ -257,12 +257,10 @@ def _start_points(model: str, t: np.ndarray, power_b: float | None) -> list[tupl
 
 def _families(models: list, family: np.ndarray) -> list[tuple]:
     """(model, rows) for each block of the stack that still has rows, rows
-    being a slice; family, each row's block index, is sorted.  An empty
-    stack keeps its first block, so its arrays keep their shapes."""
+    being a slice; family, each row's block index, is sorted."""
     edges = np.searchsorted(family, np.arange(len(models) + 1))
-    parts = [(m, slice(lo, hi)) for m, lo, hi in zip(models, edges[:-1], edges[1:])
-             if lo < hi]
-    return parts or [(models[0], slice(0, 0))]
+    return [(m, slice(lo, hi)) for m, lo, hi in zip(models, edges[:-1], edges[1:])
+            if lo < hi]
 
 
 def _clip_into_boxes(parts: list, theta: np.ndarray, t: np.ndarray) -> list[tuple]:
@@ -614,7 +612,7 @@ def bootstrap_ci(model: str, series: GrowthSeries, n_resamples: int = 500,
     if model == "linear":
         fits = [_fit_linear(GrowthSeries(t, row)) for row in synthetic]
         values = np.array([[fit.params[name] for name in names] for fit in fits],
-                          dtype=float).reshape(n_resamples, len(names))
+                          dtype=float)
         converged = np.ones(n_resamples, dtype=bool)
     else:
         theta0 = np.repeat([_theta(model, base.params)], n_resamples, axis=0)
@@ -629,7 +627,7 @@ def bootstrap_ci(model: str, series: GrowthSeries, n_resamples: int = 500,
                     values[r] = [log_fit.params[name] for name in names]
                     converged[r] = True
     draws = values[converged]
-    fraction_failed = (n_resamples - len(draws)) / n_resamples if n_resamples else 0.0
+    fraction_failed = (n_resamples - len(draws)) / n_resamples
     intervals = {}
     if len(draws):
         lo = np.percentile(draws, 2.5, axis=0)

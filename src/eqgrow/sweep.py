@@ -5,8 +5,10 @@ depths, batch sizes, and seeds at a fixed epoch count.  Runs append one
 JSON-lines trajectory record per configuration, flushed as it arrives, so a
 killed sweep keeps every finished record; completed configurations are
 skipped on rerun and failed ones retried, so interrupted sweeps resume
-cleanly.  Configurations are
-independent, so the pool of worker processes changes nothing observable.
+cleanly.  A rerun scans the file once: the same scan gives the records and
+where the whole lines end, so a torn last line is cut before appending.
+Configurations are independent, so the pool of worker processes changes
+nothing observable.
 """
 
 from __future__ import annotations
@@ -113,48 +115,37 @@ def _done(records: dict, config: ArchConfig) -> bool:
     return record is not None and "error" not in record
 
 
-def read_sweep_file(path) -> list[dict]:
-    """The records of a sweep file.
+def _scan_sweep(path, data: bytes) -> tuple[list[dict], int]:
+    """The records in a sweep file's bytes, and the byte length of the
+    lines that hold them.
 
-    A last line without its line break that does not parse is the torn
-    tail of a killed write and is dropped, so its configuration reruns.
-    A malformed line anywhere else, or a line that is not a JSON object,
-    raises ValueError.
+    A last line without its line break that does not parse (or is blank)
+    is the torn tail of a killed write: it is dropped, and left out of the
+    length, so its configuration reruns.  A malformed line anywhere else,
+    or a line that is not a JSON object, raises ValueError naming ``path``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = data.split(b"\n")
+    tail = lines[-1]  # the last piece, without a line break
     records = []
-    for i, line in enumerate(lines):
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            if i == len(lines) - 1 and not line.endswith("\n"):
-                break
-            raise ValueError(f"{path}: line {i + 1}: {exc.msg}") from None
+            if number == len(lines):
+                return records, len(data) - len(tail)
+            raise ValueError(f"{path}: line {number}: {exc.msg}") from None
         if not isinstance(record, dict):
-            raise ValueError(f"{path}: line {i + 1}: not a JSON object")
+            raise ValueError(f"{path}: line {number}: not a JSON object")
         records.append(record)
-    return records
+    return records, len(data) if tail.strip() else len(data) - len(tail)
 
 
-@contextlib.contextmanager
-def _open_for_append(path):
-    """Binary append handle whose first write starts a line of its own: a
-    torn last line (see read_sweep_file) is cut, a whole one terminated."""
-    with open(path, "a+b") as fh:
-        fh.seek(0)
-        data = fh.read()
-        tail = data[data.rfind(b"\n") + 1:]
-        if tail:
-            try:
-                json.loads(tail)
-            except ValueError:
-                fh.truncate(len(data) - len(tail))
-            else:
-                fh.write(b"\n")
-        yield fh
+def read_sweep_file(path) -> list[dict]:
+    """The records of a sweep file (see _scan_sweep)."""
+    with open(path, "rb") as fh:
+        return _scan_sweep(path, fh.read())[0]
 
 
 def run_sweep(plan: SweepPlan, out_path, progress=None,
@@ -171,8 +162,13 @@ def run_sweep(plan: SweepPlan, out_path, progress=None,
     resumed (ValueError).  Returns every record of the plan (existing plus
     new), in plan order.
     """
-    existing = ({_record_key(r): r for r in read_sweep_file(out_path)}
-                if os.path.exists(out_path) else {})
+    try:
+        with open(out_path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = b""
+    found, whole = _scan_sweep(out_path, data)
+    existing = {_record_key(r): r for r in found}
     configs = plan.configs()
     pending = [c for c in configs if not _done(existing, c)
                or (rules_dir is not None
@@ -190,9 +186,13 @@ def run_sweep(plan: SweepPlan, out_path, progress=None,
         workers = plan.workers or os.cpu_count() or 1
         in_process = workers <= 1 or len(pending) == 1
         run = partial(_run_config, rules_dir=rules_dir)
-        with _open_for_append(out_path) as fh, (
+        with open(out_path, "ab") as fh, (
                 contextlib.nullcontext() if in_process
                 else ProcessPoolExecutor(max_workers=workers)) as pool:
+            # the first record starts a line of its own
+            fh.truncate(whole)
+            if whole and not data.endswith(b"\n", 0, whole):
+                fh.write(b"\n")
             records = (map(run, pending) if in_process
                        else pool.map(run, pending, chunksize=4))
             for i, (config, record) in enumerate(zip(pending, records), 1):

@@ -148,9 +148,11 @@ def pattern_var_name(index: int) -> str:
 class SubstrateSpec:
     """One substrate: operator signatures, variables, constants, prims.
 
-    ``principal_sorts`` lists the result sorts candidate terms may take.
-    ``exhaustive_bool`` selects the soundness protocol: exhaustive
-    evaluation over all boolean assignments instead of random sampling.
+    Everything else is derived from these, once per substrate: the
+    principal sorts (the result sorts candidate terms take) and whether
+    soundness is judged exhaustively over every assignment, which holds
+    when every variable is Bool.  No two leaves of a substrate share a
+    label.
     """
 
     domain_id: str
@@ -158,8 +160,6 @@ class SubstrateSpec:
     variables: tuple[tuple[str, str], ...]
     constants: tuple[tuple[object, str], ...]
     prims: tuple[tuple[str, str], ...]
-    principal_sorts: tuple[str, ...]
-    exhaustive_bool: bool = False
 
     @cached_property
     def ops_by_result(self) -> dict[str, tuple[Operator, ...]]:
@@ -167,6 +167,16 @@ class SubstrateSpec:
         for op in self.operators:
             out.setdefault(op.result, []).append(op)
         return {s: tuple(v) for s, v in out.items()}
+
+    @cached_property
+    def principal_sorts(self) -> tuple[str, ...]:
+        """The operators' result sorts, in grammar order."""
+        return tuple(self.ops_by_result)
+
+    @cached_property
+    def exhaustive_bool(self) -> bool:
+        """Every variable is Bool, so every assignment can be enumerated."""
+        return all(sort == BOOL for _, sort in self.variables)
 
     @cached_property
     def ops_by_name(self) -> dict[str, Operator]:
@@ -185,8 +195,10 @@ class SubstrateSpec:
         return {s: tuple(v) for s, v in out.items()}
 
     @cached_property
-    def variable_sorts(self) -> dict[str, str]:
-        return dict(self.variables)
+    def leaves_by_label(self) -> dict[str, Term]:
+        """Each leaf term by its label, which no other leaf shares."""
+        return {leaf.label: leaf for leaves in self.leaves_by_sort.values()
+                for leaf in leaves}
 
 
 ARITH = SubstrateSpec(
@@ -198,7 +210,6 @@ ARITH = SubstrateSpec(
     variables=(("x", INT), ("y", INT), ("z", INT)),
     constants=((0, INT), (1, INT), (2, INT)),
     prims=(),
-    principal_sorts=(INT,),
 )
 
 BOOLDOM = SubstrateSpec(
@@ -211,8 +222,6 @@ BOOLDOM = SubstrateSpec(
     variables=(("p", BOOL), ("q", BOOL), ("r", BOOL)),
     constants=((False, BOOL), (True, BOOL)),
     prims=(),
-    principal_sorts=(BOOL,),
-    exhaustive_bool=True,
 )
 
 LIST = SubstrateSpec(
@@ -238,7 +247,6 @@ LIST = SubstrateSpec(
         ("nonzero", PRED), ("is_even", PRED), ("is_odd", PRED),
         ("+", FUN2), ("-", FUN2), ("*", FUN2),
     ),
-    principal_sorts=(INTLIST, INT),
 )
 
 SUBSTRATES = {"arith": ARITH, "bool": BOOLDOM, "list": LIST}
@@ -438,15 +446,6 @@ def subterms(term: Term) -> list[Term]:
     return out
 
 
-def term_depth(term: Term) -> int:
-    """The number of nodes on a longest root-to-leaf path."""
-    depth, level = 0, [term]
-    while level:
-        depth += 1
-        level = [a for t in level for a in t.args]
-    return depth
-
-
 def pattern_variables(term: Term) -> dict[str, str]:
     """Each pattern variable's name and sort, in first-occurrence preorder."""
     out: dict[str, str] = {}
@@ -549,15 +548,10 @@ def parse_term(spec: SubstrateSpec, text: str,
             if pattern_sorts.setdefault(tok, s) != s:
                 raise TermError(f"pattern variable {tok} used at two sorts")
             return var(tok, s)
-        vsort = spec.variable_sorts.get(tok)
-        if vsort is not None:
-            return var(tok, vsort)
-        for value, csort in spec.constants:
-            if const(value, csort).label == tok and (expected is None or csort == expected):
-                return const(value, csort)
-        for name, psort in spec.prims:
-            if name == tok and (expected is None or psort == expected):
-                return prim(name, psort)
+        leaf = spec.leaves_by_label.get(tok)
+        if leaf is not None and (leaf.kind == "var" or expected is None
+                                 or leaf.sort == expected):
+            return leaf
         raise TermError(f"unknown atom {tok!r} in {spec.domain_id}")
 
     def parse(expected: str | None) -> Term:

