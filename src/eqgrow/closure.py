@@ -121,20 +121,6 @@ def simulate_ode(params: ClosureParams, t_end: float, dt: float) -> GrowthSeries
     return GrowthSeries(t_grid, values)
 
 
-def closed_form_power(throughput: float, exponent: float, t,
-                      n0: float = 0.0) -> float | np.ndarray:
-    """Short-range closed form S(t) = ((1-k) K t + n0^(1-k))^(1/(1-k)).
-
-    Valid only for exponent < 1; the default n0 = 0 is the textbook form.
-    """
-    if exponent >= 1:
-        raise ValueError("closed form requires exponent k < 1")
-    one_minus = 1.0 - exponent
-    base = one_minus * throughput * np.asarray(t, dtype=float) + n0 ** one_minus
-    result = base ** (1.0 / one_minus)
-    return float(result) if np.ndim(t) == 0 else result
-
-
 def power_law_exponent(exponent: float) -> float:
     """The observed log-log slope b = 1/(1-k) implied by recombination k."""
     if exponent >= 1:

@@ -3,8 +3,10 @@
 Each discovery epoch draws a batch of candidate terms of the substrate's
 principal sorts (its operators' result sorts) from a generator, normalizes
 them against the current rule set, groups them by the semantic fingerprint
-of their normal forms (evaluation on shared environments: every
-assignment when all variables are Bool, as in the boolean domain), and
+of their normal forms (evaluation on the epoch's shared environments:
+every assignment when all variables are Bool, as in the boolean domain;
+one walk per normal form gives its values under all of them, and a
+subterm shared by several is evaluated once per epoch), and
 turns each group of two or more into a candidate equation: the largest
 member oriented onto the smallest.  Sound, strictly size-decreasing pairs
 are generalized to pattern rules, passed through the acceptance filter, and
@@ -12,7 +14,8 @@ committed.  Subterms of committed equations feed a pool that the
 compositional generators draw from.
 
 A run is a pure function of its configuration: the pseudo-random stream is
-a counter-based Philox generator keyed by the configuration fields, and all
+a counter-based Philox generator keyed by the configuration fields, decoded
+draw for draw as numpy's ``Generator`` would (``PhiloxStream``), and all
 tie-breaks are canonical-order deterministic.
 """
 
@@ -27,7 +30,8 @@ import numpy as np
 from . import __version__
 from .terms import (
     INT, INTLIST, SubstrateSpec, SUBSTRATES, Term, TermError, evaluate,
-    generalize, match, parse_term, pattern_variables, substitute, subterms,
+    evaluate_each, generalize, match, parse_term, pattern_variables,
+    substitute, subterms,
 )
 
 DOMAINS = tuple(SUBSTRATES)
@@ -282,26 +286,100 @@ def is_reducible(term: Term, ruleset: RuleSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The pseudo-random stream
+# ---------------------------------------------------------------------------
+
+RAW_BLOCK = 512          # Philox words read per refill
+_U32 = 1 << 32
+
+
+class PhiloxStream:
+    """The draws of ``np.random.Generator(np.random.Philox(seed))``, decoded
+    from the raw 64-bit Philox words in Python.
+
+    It answers the calls the engine makes, ``integers(high)``,
+    ``integers(low, high)``, ``integers(low, high, size=n)`` (a list) and
+    ``random()``, with the values and the stream position numpy's would
+    have.  As numpy does for an int64 range of at most 2**32 values, a
+    bounded draw over r values takes a 32-bit word u and returns
+    ``low + (u*r >> 32)``, drawing again while ``u*r mod 2**32`` falls below
+    ``(2**32 - r) mod r`` (Lemire's multiply-shift); a range of one value
+    draws nothing.  A 32-bit word is the low half of a Philox word, whose
+    high half is kept for the next 32-bit word.  ``random()`` is the top 53
+    bits of a fresh Philox word and leaves a kept half alone.  A wider range
+    is refused: numpy draws it from whole words.
+
+    The stream owns its Philox state, so reading RAW_BLOCK words ahead
+    changes no draw.
+    """
+
+    __slots__ = ("_bits", "_words", "_half")
+
+    def __init__(self, seed: np.random.SeedSequence):
+        self._bits = np.random.Philox(seed)
+        self._words = iter(())
+        self._half = None
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._bits.random_raw(RAW_BLOCK).tolist())
+            return next(self._words)
+
+    def _below(self, span: int) -> int:
+        """A draw uniform in [0, span)."""
+        if span == 1:
+            return 0
+        if not 1 < span <= _U32:
+            raise ValueError(f"cannot draw from a range of {span} values")
+        threshold = (_U32 - span) % span
+        while True:
+            u = self._half
+            if u is None:
+                word = self._word()
+                self._half, u = word >> 32, word & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = u * span
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def integers(self, low: int, high: int | None = None,
+                 size: int | None = None):
+        """An int uniform in [low, high), or in [0, low) without ``high``;
+        with ``size``, a list of that many."""
+        if high is None:
+            low, high = 0, low
+        if size is None:
+            return low + self._below(high - low)
+        return [low + self._below(high - low) for _ in range(size)]
+
+    def random(self) -> float:
+        """A float uniform in [0, 1), on a grid of 2**-53."""
+        return (self._word() >> 11) * 2.0 ** -53
+
+
+# ---------------------------------------------------------------------------
 # Environments and soundness
 # ---------------------------------------------------------------------------
 
-def _sample_value(sort: str, rng: np.random.Generator):
+def _sample_value(sort: str, rng: PhiloxStream):
     """Random value of a sort: ints uniform in [-10, 10], list lengths in [0, 5]."""
     if sort == INT:
         return int(rng.integers(INT_LOW, INT_HIGH + 1))
     if sort == INTLIST:
         length = int(rng.integers(0, LIST_LEN_MAX + 1))
-        return tuple(
-            int(v) for v in rng.integers(INT_LOW, INT_HIGH + 1, size=length))
+        return tuple(map(int, rng.integers(INT_LOW, INT_HIGH + 1, size=length)))
     raise ConfigError(f"cannot sample a value of sort {sort}")
 
 
-def sample_env(spec: SubstrateSpec, rng: np.random.Generator) -> dict:
+def sample_env(spec: SubstrateSpec, rng: PhiloxStream) -> dict:
     """Random environment over the substrate's variables, in grammar order."""
     return {name: _sample_value(sort, rng) for name, sort in spec.variables}
 
 
-def _environments(spec: SubstrateSpec, rng: np.random.Generator):
+def _environments(spec: SubstrateSpec, rng: PhiloxStream):
     """The environments a term is judged on: every assignment of the boolean
     domain's variables, or a lazy stream of SOUND_SAMPLES sampled ones, so
     that a caller that stops early draws no more than it read."""
@@ -313,7 +391,7 @@ def _environments(spec: SubstrateSpec, rng: np.random.Generator):
 
 
 def sound(lhs: Term, rhs: Term, spec: SubstrateSpec,
-          rng: np.random.Generator) -> bool:
+          rng: PhiloxStream) -> bool:
     """Semantic equivalence check: exact value equality on every boolean
     assignment, or on 12 random environments drawn until the first mismatch.
     The discovery loop calls it for the sampled domains only: a boolean
@@ -335,7 +413,7 @@ class GeneratorState:
     birth index so a commit costs O(harvest), not O(pool).
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: PhiloxStream):
         self.rng = rng
         self.terms: list[Term] = []
         self.index: dict[str, int] = {}
@@ -384,13 +462,13 @@ class GeneratorState:
         return self.terms[self._mdl_best]
 
 
-def _random_leaf(spec: SubstrateSpec, sort: str, rng: np.random.Generator) -> Term:
+def _random_leaf(spec: SubstrateSpec, sort: str, rng: PhiloxStream) -> Term:
     leaves = spec.leaves_by_sort[sort]
     return leaves[int(rng.integers(len(leaves)))]
 
 
 def _grow(spec: SubstrateSpec, sort: str, depth_left: int,
-          rng: np.random.Generator) -> Term:
+          rng: PhiloxStream) -> Term:
     ops = spec.ops_by_result.get(sort)
     if depth_left <= 1 or not ops or rng.random() < LEAF_PROB:
         return _random_leaf(spec, sort, rng)
@@ -400,7 +478,7 @@ def _grow(spec: SubstrateSpec, sort: str, depth_left: int,
 
 
 def _join(spec: SubstrateSpec, sort: str, t1: Term, t2: Term,
-          rng: np.random.Generator) -> Term | None:
+          rng: PhiloxStream) -> Term | None:
     """Root one operator of the target sort over two pool subterms.
 
     Subterms fill the first argument slots whose sorts they fit; remaining
@@ -456,7 +534,7 @@ def generate_candidate(state: GeneratorState, kind: str, spec: SubstrateSpec,
 # The discovery loop
 # ---------------------------------------------------------------------------
 
-def _config_rng(config: ArchConfig) -> np.random.Generator:
+def _config_rng(config: ArchConfig) -> PhiloxStream:
     entropy = [
         int(config.seed),
         list(SUBSTRATES).index(config.domain),
@@ -465,7 +543,7 @@ def _config_rng(config: ArchConfig) -> np.random.Generator:
         int(config.depth),
         int(config.batch_size),
     ]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return PhiloxStream(np.random.SeedSequence(entropy))
 
 
 def run_discovery(config: ArchConfig) -> DiscoveryResult:
@@ -480,6 +558,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
     for _ in range(config.epochs):
         ruleset.clear_memo()
         envs = list(_environments(spec, rng))
+        values: dict[Term, tuple] = {}
 
         groups: dict[tuple, list[Term]] = {}
         for _ in range(config.batch_size):
@@ -490,7 +569,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
             cand = generate_candidate(state, config.generator, spec,
                                       config.depth, sort)
             nf = normalize(cand, ruleset)
-            fingerprint = (nf.sort,) + tuple(evaluate(nf, e) for e in envs)
+            fingerprint = (nf.sort,) + evaluate_each(nf, envs, values)
             groups.setdefault(fingerprint, []).append(cand)
 
         for members in groups.values():

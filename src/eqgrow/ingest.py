@@ -29,7 +29,6 @@ class LogParseError(ValueError):
 
 @dataclass
 class CommitRecord:
-    hash: str
     month: str                      # YYYY-MM
     added_paths: list[str] = field(default_factory=list)
 
@@ -49,14 +48,13 @@ def parse_log(stream) -> list[CommitRecord]:
             parts = line.split(None, 2)
             if len(parts) != 3:
                 raise LogParseError(f"line {lineno}: malformed commit line: {line!r}")
-            _, commit_hash, date_text = parts
+            date_text = parts[2]
             try:
                 stamp = datetime.fromisoformat(date_text.strip().replace("Z", "+00:00"))
             except ValueError:
                 raise LogParseError(
                     f"line {lineno}: unparseable date {date_text!r}") from None
-            current = CommitRecord(hash=commit_hash,
-                                   month=f"{stamp.year:04d}-{stamp.month:02d}")
+            current = CommitRecord(month=f"{stamp.year:04d}-{stamp.month:02d}")
             records.append(current)
             continue
         status, _, path = line.partition("\t")
@@ -65,16 +63,6 @@ def parse_log(stream) -> list[CommitRecord]:
         if status == "A" and path:
             current.added_paths.append(path)
     return records
-
-
-def format_log(records: list[CommitRecord]) -> str:
-    """Inverse of parse_log, used for fixtures and round-trip checks."""
-    chunks = []
-    for rec in records:
-        lines = [f"commit {rec.hash} {rec.month}-01T00:00:00+00:00"]
-        lines += [f"A\t{p}" for p in rec.added_paths]
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + ("\n" if chunks else "")
 
 
 # ---------------------------------------------------------------------------

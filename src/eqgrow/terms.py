@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 # Sort tags.  FUN2 is the sort of the bare binary-operator names that appear
 # only as fold's first argument; like FUN1 and PRED it never occurs as the
@@ -256,28 +257,44 @@ SUBSTRATES = {"arith": ARITH, "bool": BOOLDOM, "list": LIST}
 # Evaluation
 # ---------------------------------------------------------------------------
 
-UNARY_FUNCS = {
+# The meaning of each primitive, by label: the unary functions map takes,
+# the predicates filter takes and the binary operators fold takes.
+PRIMITIVES = {
     "inc": lambda v: v + 1,
     "dec": lambda v: v - 1,
     "double": lambda v: 2 * v,
     "square": lambda v: v * v,
     "neg": lambda v: -v,
     "id": lambda v: v,
-}
-
-PREDICATES = {
     "is_pos": lambda v: v > 0,
     "is_neg": lambda v: v < 0,
     "is_zero": lambda v: v == 0,
     "nonzero": lambda v: v != 0,
     "is_even": lambda v: v % 2 == 0,
     "is_odd": lambda v: v % 2 != 0,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
 }
 
-BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+# The meaning of each operator, as a function of its arguments' values; the
+# value of a primitive argument is its meaning.  List operations are total:
+# map/filter of the empty list give (), fold of the empty list gives its
+# init argument.
+OPERATIONS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+    "not": operator.not_,
+    "map": lambda f, xs: tuple(map(f, xs)),
+    "filter": lambda p, xs: tuple(filter(p, xs)),
+    "fold": lambda f, init, xs: reduce(f, xs, init),
+    "reverse": lambda xs: xs[::-1],
+    "length": len,
+    "append": operator.add,
+    "cons": lambda x, xs: (x,) + xs,
 }
 
 
@@ -285,48 +302,50 @@ def evaluate(term: Term, env: dict):
     """Evaluate a term under an environment binding its variables, substrate
     and pattern variables alike, by name.
 
-    List operations are total: map/filter of the empty list return (), fold
-    of the empty list returns its init argument.  Raises EvalError on an
-    unbound variable (a harness bug, never expected in normal flow).
+    Raises EvalError on an unbound variable (a harness bug, never expected
+    in normal flow) or on a primitive outside an operator.
     """
     k = term.kind
-    if k == "var" or k == "pvar":
-        try:
-            return env[term.label]
-        except KeyError:
-            raise EvalError(f"unbound variable {term.label!r}") from None
+    if k == "app":
+        return OPERATIONS[term.label](*[
+            PRIMITIVES[a.label] if a.kind == "prim" else evaluate(a, env)
+            for a in term.args])
     if k == "const":
         return term.value
     if k == "prim":
         raise EvalError(f"primitive {term.label!r} evaluated outside an operator")
-    op = term.label
-    a = term.args
-    if op == "+" or op == "-" or op == "*":
-        return BINOPS[op](evaluate(a[0], env), evaluate(a[1], env))
-    if op == "and":
-        return evaluate(a[0], env) and evaluate(a[1], env)
-    if op == "or":
-        return evaluate(a[0], env) or evaluate(a[1], env)
-    if op == "not":
-        return not evaluate(a[0], env)
-    if op == "map":
-        f = UNARY_FUNCS[a[0].label]
-        return tuple(f(v) for v in evaluate(a[1], env))
-    if op == "filter":
-        p = PREDICATES[a[0].label]
-        return tuple(v for v in evaluate(a[1], env) if p(v))
-    if op == "fold":
-        f = BINOPS[a[0].label]
-        return reduce(f, evaluate(a[2], env), evaluate(a[1], env))
-    if op == "reverse":
-        return tuple(reversed(evaluate(a[0], env)))
-    if op == "length":
-        return len(evaluate(a[0], env))
-    if op == "append":
-        return evaluate(a[0], env) + evaluate(a[1], env)
-    if op == "cons":
-        return (evaluate(a[0], env),) + evaluate(a[1], env)
-    raise EvalError(f"unknown operator {op!r}")
+    try:
+        return env[term.label]
+    except KeyError:
+        raise EvalError(f"unbound variable {term.label!r}") from None
+
+
+def evaluate_each(term: Term, envs: list[dict], memo: dict) -> tuple:
+    """The term's values under each environment of ``envs``, as a tuple,
+    from one walk of the term.
+
+    ``memo`` maps each subterm walked to its tuple, so a subterm shared by
+    several terms is evaluated once; it holds for this list of
+    environments only.  A primitive's tuple repeats its meaning.
+    """
+    values = memo.get(term)
+    if values is not None:
+        return values
+    k = term.kind
+    if k == "app":
+        values = tuple(map(OPERATIONS[term.label],
+                           *[evaluate_each(a, envs, memo) for a in term.args]))
+    elif k == "const":
+        values = (term.value,) * len(envs)
+    elif k == "prim":
+        values = (PRIMITIVES[term.label],) * len(envs)
+    else:
+        try:
+            values = tuple(env[term.label] for env in envs)
+        except KeyError:
+            raise EvalError(f"unbound variable {term.label!r}") from None
+    memo[term] = values
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -470,24 +489,36 @@ COUNT_BITS_CAP = 1024  # counts square with each depth; past this, refuse
 def count_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> int:
     """Exact count of well-sorted terms of ``sort`` with depth <= max_depth.
 
-    Counted bottom-up, one depth at a time, for every sort: leaves plus,
-    for each operator of the sort, the product of the depth-(d-1) counts of
-    its argument sorts.  Refuses with EnumerationTooLarge, naming the
-    depth, once a count passes COUNT_BITS_CAP bits.
+    Refuses with EnumerationTooLarge, naming the depth, once a count passes
+    COUNT_BITS_CAP bits.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    return _count_table(spec, max_depth, COUNT_BITS_CAP).get(sort, 0)
+
+
+@lru_cache(maxsize=None)
+def _count_table(spec: SubstrateSpec, max_depth: int,
+                 bits_cap: int) -> dict[str, int]:
+    """The count of terms of depth <= max_depth of every sort, computed once
+    per substrate, depth and cap.
+
+    Counted bottom-up, one depth at a time: leaves plus, for each operator
+    of the sort, the product of the depth-(d-1) counts of its argument
+    sorts.  A refused depth is not cached; it recounts only up to the
+    depth whose count passes the cap.
+    """
     counts: dict[str, int] = {}  # depth 0 holds no terms
     for d in range(1, max_depth + 1):
         counts = {s: len(spec.leaves_by_sort.get(s, ()))
                   + sum(math.prod(counts.get(a, 0) for a in op.arg_sorts)
                         for op in spec.ops_by_result.get(s, ()))
                   for s in spec.leaves_by_sort.keys() | spec.ops_by_result.keys()}
-        if max(counts.values()).bit_length() > COUNT_BITS_CAP:
+        if max(counts.values()).bit_length() > bits_cap:
             raise EnumerationTooLarge(
-                f"depth {max_depth} too large: more than 2**{COUNT_BITS_CAP} "
+                f"depth {max_depth} too large: more than 2**{bits_cap} "
                 f"terms of depth {d}")
-    return counts.get(sort, 0)
+    return counts
 
 
 def enumerate_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> list[Term]:

@@ -12,17 +12,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from eqgrow.closure import (ClosureParams, closed_form_power, estimate_mu,
-                            integrate_closure, simulate_ode)
+from eqgrow.closure import (ClosureParams, estimate_mu, integrate_closure,
+                            simulate_ode)
 from eqgrow.engine import ArchConfig, run_discovery
 from eqgrow.growth import (DEFAULT_MODELS, GrowthSeries, MODELS, bootstrap_ci,
                            fit_model, fit_power_law, oos_forecast, predict,
                            select_model, series_from_sizes)
-from eqgrow.ingest import CommitRecord, format_log, monthly_series, parse_log
+from eqgrow.ingest import CommitRecord, monthly_series, parse_log
 from eqgrow.regression import build_features, kfold_cv, pooled_eval, transfer_eval
 from eqgrow.sweep import SweepPlan, analyze, long_range_plan, run_sweep
 from eqgrow.terms import (ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST,
                           count_terms, enumerate_terms, var)
+from test_closure import closed_form_power
+from test_ingest import format_log
 
 T200 = np.arange(1, 201, dtype=float)
 
@@ -369,12 +371,12 @@ def test_criterion_09_long_range_window_shift(long_range_runs):
 def test_criterion_10_ingestion_exactness():
     start = time.perf_counter()
     records = [
-        CommitRecord("a1", "2021-05", ["Mathlib/Algebra/Basic.lean",
-                                       "docs/readme.md"]),
-        CommitRecord("a2", "2021-05", ["Mathlib/Order/Lattice.lean"]),
-        CommitRecord("a3", "2021-05", []),
-        CommitRecord("b1", "2021-07", ["Mathlib/Topology/Deep/Nest.lean",
-                                       "Mathlib/Top.lean"]),
+        CommitRecord("2021-05", ["Mathlib/Algebra/Basic.lean",
+                                 "docs/readme.md"]),
+        CommitRecord("2021-05", ["Mathlib/Order/Lattice.lean"]),
+        CommitRecord("2021-05", []),
+        CommitRecord("2021-07", ["Mathlib/Topology/Deep/Nest.lean",
+                                 "Mathlib/Top.lean"]),
     ]
     parsed = parse_log(format_log(records))
     commits = monthly_series(parsed, mode="commits")

@@ -5,14 +5,28 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqgrow.closure import (
-    ClosureParams, closed_form_power, estimate_mu, growth_rate,
-    integrate_closure, power_law_exponent, root_instances, simulate_ode,
+    ClosureParams, estimate_mu, growth_rate, integrate_closure,
+    power_law_exponent, root_instances, simulate_ode,
 )
 from eqgrow.engine import ArchConfig, run_discovery
 from eqgrow.terms import (ARITH, BOOL, BOOLDOM, FUN1, FUN2, INT, INTLIST,
                           LIST, PRED, app, enumerate_terms, match,
                           parse_term, pattern_variables, substitute, unify,
                           var)
+
+
+def closed_form_power(throughput: float, exponent: float, t,
+                      n0: float = 0.0) -> float | np.ndarray:
+    """Short-range closed form S(t) = ((1-k) K t + n0^(1-k))^(1/(1-k)).
+
+    Valid only for exponent < 1; the default n0 = 0 is the textbook form.
+    """
+    if exponent >= 1:
+        raise ValueError("closed form requires exponent k < 1")
+    one_minus = 1.0 - exponent
+    base = one_minus * throughput * np.asarray(t, dtype=float) + n0 ** one_minus
+    result = base ** (1.0 / one_minus)
+    return float(result) if np.ndim(t) == 0 else result
 
 
 def arith_coverage(lhs, depth, subterm_positions=False):

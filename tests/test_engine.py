@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqgrow.engine import (
-    NORMALIZE_STEP_CAP, ArchConfig, ConfigError, GeneratorState, Rule,
-    RuleSet, dump_rules, generate_candidate, is_reducible,
-    load_rules, normalize, record_to_json, run_discovery, sound,
-    trajectory_record, _config_rng, _environments,
+    NORMALIZE_STEP_CAP, RAW_BLOCK, ArchConfig, ConfigError, GeneratorState,
+    PhiloxStream, Rule, RuleSet, dump_rules, generate_candidate,
+    is_reducible, load_rules, normalize, record_to_json, run_discovery,
+    sample_env, sound, trajectory_record, _config_rng, _environments, _grow,
 )
 from eqgrow.terms import (
     ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST, SUBSTRATES, Term, app, evaluate,
@@ -78,6 +78,93 @@ def test_generators_return_requested_sort():
         for sort in (INTLIST, INT):
             for _ in range(25):
                 assert generate_candidate(state, kind, LIST, 3, sort).sort == sort
+
+
+# ---------------------------------------------------------------------------
+# the pseudo-random stream against numpy's Generator
+# ---------------------------------------------------------------------------
+
+def _streams(seed):
+    """numpy's Generator and the engine's decoder on one seed."""
+    return (np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))),
+            PhiloxStream(np.random.SeedSequence(seed)))
+
+
+# Ranges of one value (no draw), small ones, and ones above 2**31, where a
+# 32-bit word is rejected about half the time.
+_spans = st.one_of(st.sampled_from([1, 2, 21, 2**31 + 1, 2**32 - 1, 2**32]),
+                   st.integers(1, 2**32))
+_calls = st.lists(st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("high"), _spans),
+    st.tuples(st.just("range"), st.integers(-50, 50), _spans),
+    st.tuples(st.just("size"), st.integers(-50, 50), _spans,
+              st.integers(0, 6)),
+), max_size=60)
+
+
+def _call(rng, call):
+    kind, *args = call
+    if kind == "random":
+        return rng.random()
+    if kind == "high":
+        return int(rng.integers(args[0]))
+    low, span = args[0], args[1]
+    if kind == "range":
+        return int(rng.integers(low, low + span))
+    return list(map(int, rng.integers(low, low + span, size=args[2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), lead=st.integers(0, RAW_BLOCK + 2),
+       calls=_calls)
+@example(seed=0, lead=RAW_BLOCK - 1,
+         calls=[("high", 21), ("random",), ("high", 21), ("size", 0, 5, 0),
+                ("range", -3, 1), ("high", 2**31 + 1)])
+def test_decoder_draws_as_numpy(seed, lead, calls):
+    """Call for call, the decoder gives numpy's values and leaves the stream
+    where numpy leaves it; ``lead`` words of random() first move the calls
+    across a refill of the decoder's block (the example keeps a half-word
+    across one)."""
+    numpy_rng, decoder = _streams(seed)
+    for call in [("random",)] * lead + calls + [("high", 2**32), ("random",)]:
+        assert _call(decoder, call) == _call(numpy_rng, call)
+
+
+def test_decoder_draws_as_numpy_long_streams():
+    for seed in range(5):
+        numpy_rng, decoder = _streams(seed)
+        for i in range(3000):
+            call = (("random",), ("high", 7), ("range", -10, 21),
+                    ("size", -10, 21, i % 6), ("high", 2**31 + 1))[i % 5]
+            assert _call(decoder, call) == _call(numpy_rng, call)
+
+
+@pytest.mark.parametrize("low,high", [(0, 2**32 + 1), (-2**32, 1), (5, 5)])
+def test_decoder_refuses_ranges_it_cannot_draw(low, high):
+    with pytest.raises(ValueError):
+        PhiloxStream(np.random.SeedSequence(0)).integers(low, high)
+
+
+@pytest.mark.parametrize("spec", [ARITH, LIST], ids=["arith", "list"])
+def test_engine_draws_take_either_stream(spec):
+    """sample_env, _grow and sound give the same results, and leave the
+    stream at the same place, on numpy's Generator (as the audits pass one)
+    and on the decoder; list values come from an ndarray on one and a list
+    on the other."""
+    sort = spec.principal_sorts[-1]
+    numpy_rng, decoder = _streams(7)
+    before = _grow(spec, sort, 3, decoder)
+    _grow(spec, sort, 3, numpy_rng)
+    for _ in range(200):
+        assert sample_env(spec, decoder) == sample_env(spec, numpy_rng)
+        term = _grow(spec, sort, 3, decoder)
+        assert _grow(spec, sort, 3, numpy_rng) == term
+        # unequal terms stop at the first mismatch, so draw fewer than 12
+        assert (sound(term, before, spec, decoder)
+                == sound(term, before, spec, numpy_rng))
+        before = term
+    assert decoder.random() == numpy_rng.random()
 
 
 # ---------------------------------------------------------------------------

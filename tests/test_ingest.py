@@ -3,9 +3,20 @@ import pytest
 
 from eqgrow.growth import read_series_csv
 from eqgrow.ingest import (
-    CommitRecord, LogParseError, format_log, monthly_series,
-    parse_log, write_monthly_csv,
+    CommitRecord, LogParseError, monthly_series, parse_log, write_monthly_csv,
 )
+
+
+def format_log(records: list[CommitRecord]) -> str:
+    """Inverse of parse_log: the history text of the records, for fixtures
+    and round-trip checks."""
+    chunks = []
+    for i, rec in enumerate(records):
+        lines = [f"commit {i:07x} {rec.month}-01T00:00:00+00:00"]
+        lines += [f"A\t{p}" for p in rec.added_paths]
+        chunks.append("\n".join(lines))
+    return "\n\n".join(chunks) + ("\n" if chunks else "")
+
 
 SAMPLE = """\
 commit abc 2021-05-03T10:00:00+00:00
@@ -29,7 +40,6 @@ def test_single_record_parse():
     records = parse_log("commit abc 2021-05-03T10:00:00+00:00\n"
                         "A\tMathlib/Algebra/Basic.lean\n")
     assert len(records) == 1
-    assert records[0].hash == "abc"
     assert records[0].month == "2021-05"
     assert records[0].added_paths == ["Mathlib/Algebra/Basic.lean"]
 
@@ -85,7 +95,7 @@ def test_glob_semantics():
         ("*.py", "c.py", True),
     ]
     for pattern, path, matches in cases:
-        records = [CommitRecord("abc", "2021-05", [path])]
+        records = [CommitRecord("2021-05", [path])]
         series = monthly_series(records, mode="new_files", glob=pattern)
         assert series.increments == [int(matches)], (pattern, path)
 
@@ -100,13 +110,11 @@ def test_permutation_invariance():
 
 def test_printer_parse_roundtrip():
     records = [
-        CommitRecord("aaa", "2020-01", ["x/y.lean"]),
-        CommitRecord("bbb", "2020-03", []),
-        CommitRecord("ccc", "2020-03", ["a.v", "b/c.v"]),
+        CommitRecord("2020-01", ["x/y.lean"]),
+        CommitRecord("2020-03", []),
+        CommitRecord("2020-03", ["a.v", "b/c.v"]),
     ]
-    parsed = parse_log(format_log(records))
-    assert [(r.hash, r.month, r.added_paths) for r in parsed] == \
-        [(r.hash, r.month, r.added_paths) for r in records]
+    assert parse_log(format_log(records)) == records
 
 
 def test_growth_series_conversion_and_csv(tmp_path):
@@ -134,8 +142,8 @@ def synthesize_history(months=60, start=(2021, 5), total=56_954, seed=0):
     for i in range(months):
         stamp = f"{year:04d}-{month:02d}"
         for _ in range(int(counts[i])):
-            records.append(CommitRecord(f"c{serial:06x}", stamp,
-                                        [f"Mathlib/M{serial % 97}/F{serial}.lean"]))
+            records.append(CommitRecord(
+                stamp, [f"Mathlib/M{serial % 97}/F{serial}.lean"]))
             serial += 1
         month += 1
         if month > 12:

@@ -7,10 +7,11 @@ import pytest
 import eqgrow.sweep as sweep_mod
 from eqgrow.cli import main
 from eqgrow.engine import ConfigError, dump_rules, run_discovery
-from eqgrow.ingest import CommitRecord, format_log
+from eqgrow.ingest import CommitRecord
 from eqgrow.report import render_table, svg_line_plot, write_csv
 from eqgrow.sweep import (SweepPlan, analyze, long_range_plan,
                           read_sweep_file, run_sweep)
+from test_ingest import format_log
 
 SMALL_PLAN = SweepPlan(domains=("bool",), generators=("random",),
                        filters=("any", "novelty"), depths=(2, 3),
@@ -472,8 +473,8 @@ def test_cli_fit_bootstrap_forecast(tmp_path, capsys):
 def test_cli_ingest_and_ode(tmp_path, capsys):
     log = tmp_path / "history.log"
     log.write_text(format_log([
-        CommitRecord("a", "2020-01", ["Mathlib/A.lean"]),
-        CommitRecord("b", "2020-03", ["Mathlib/B/C.lean", "other.txt"]),
+        CommitRecord("2020-01", ["Mathlib/A.lean"]),
+        CommitRecord("2020-03", ["Mathlib/B/C.lean", "other.txt"]),
     ]))
     out = tmp_path / "monthly.csv"
     assert main(["ingest", str(log), "--mode", "new_files",
@@ -489,7 +490,7 @@ def test_cli_ingest_and_ode(tmp_path, capsys):
 
 def test_cli_ingest_glob_outside_new_files_is_data_error(tmp_path, capsys):
     log = tmp_path / "history.log"
-    log.write_text(format_log([CommitRecord("a", "2020-01", ["A.lean"])]))
+    log.write_text(format_log([CommitRecord("2020-01", ["A.lean"])]))
     out = tmp_path / "monthly.csv"
     assert main(["ingest", str(log), "--glob", "*.lean", "--out", str(out)]) == 2
     assert "a glob applies only in new_files mode" in capsys.readouterr().err

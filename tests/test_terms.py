@@ -1,13 +1,18 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqgrow.engine import ArchConfig, _config_rng, _grow, sample_env
+from eqgrow.engine import (
+    ArchConfig, _config_rng, _environments, _grow, sample_env,
+)
 from eqgrow.terms import (
     ARITH, BOOL, BOOLDOM, EnumerationTooLarge, FUN1, INT, INTLIST, LIST, PRED,
     SUBSTRATES, Term, app, const, count_terms, enumerate_terms, evaluate,
-    TermError, generalize, match, parse_term, pattern_variables, subterms,
-    substitute, var,
+    evaluate_each, TermError, generalize, match, parse_term,
+    pattern_variables, subterms, substitute, var,
 )
 
 
@@ -55,6 +60,37 @@ def test_eval_deterministic():
         term = _grow(LIST, INTLIST, 4, rng)
         env = sample_env(LIST, rng)
         assert evaluate(term, env) == evaluate(term, env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       domain=st.sampled_from(sorted(SUBSTRATES)))
+def test_lifted_walk_equals_one_evaluate_per_environment(seed, domain):
+    """One memo shared by an epoch's worth of terms and their subterms, as
+    in the discovery loop: every tuple is each environment's ``evaluate``.
+    The boolean domain's environments are all 8 assignments, the others'
+    are sampled."""
+    spec = SUBSTRATES[domain]
+    rng = np.random.Generator(np.random.Philox(seed))
+    envs = list(_environments(spec, rng))
+    memo = {}
+    for _ in range(20):
+        for sort in spec.principal_sorts:
+            term = _grow(spec, sort, 4, rng)
+            for t in [term] + subterms(term):
+                assert (evaluate_each(t, envs, memo)
+                        == tuple(evaluate(t, e) for e in envs))
+    assert memo
+
+
+def test_lifted_walk_of_a_leaf_and_an_unbound_variable():
+    envs = [{"x": 1, "xs": (1, 2)}, {"x": -4, "xs": ()}]
+    memo = {}
+    assert evaluate_each(T(LIST, "(fold + x (map inc xs))"), envs, memo) == (6, -4)
+    assert evaluate_each(T(LIST, "2"), envs, memo) == (2, 2)
+    from eqgrow.terms import EvalError
+    with pytest.raises(EvalError):
+        evaluate_each(T(LIST, "(+ x y)"), envs, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +242,39 @@ def test_count_bit_cap(monkeypatch):
     monkeypatch.setattr("eqgrow.terms.COUNT_BITS_CAP", 13)
     with pytest.raises(EnumerationTooLarge, match="depth 3 too large"):
         count_terms(ARITH, INT, 3)
+
+
+def _reference_count(spec, sort, depth):
+    """The top-down memoized recursion count_terms replaced."""
+    @functools.cache
+    def count(s, d):
+        if d < 1:
+            return 0
+        return len(spec.leaves_by_sort.get(s, ())) + sum(
+            math.prod(count(a, d - 1) for a in op.arg_sorts)
+            for op in spec.ops_by_result.get(s, ()))
+    return count(sort, depth)
+
+
+@pytest.mark.parametrize("domain", sorted(SUBSTRATES))
+def test_count_every_sort_at_depths_1_to_8(domain):
+    spec = SUBSTRATES[domain]
+    sorts = spec.leaves_by_sort.keys() | spec.ops_by_result.keys()
+    for depth in range(1, 9):
+        for sort in sorts:
+            assert count_terms(spec, sort, depth) == \
+                _reference_count(spec, sort, depth)
+
+
+@pytest.mark.parametrize("spec,refused", [(ARITH, 10), (BOOLDOM, 10), (LIST, 9)])
+def test_count_refuses_past_1024_bits_naming_the_depth(spec, refused):
+    for sort in spec.ops_by_result:
+        count_terms(spec, sort, refused - 1)
+        for depth in (refused, refused + 1, 50):
+            with pytest.raises(EnumerationTooLarge,
+                               match=rf"depth {depth} too large: more than "
+                                     rf"2\*\*1024 terms of depth {refused}$"):
+                count_terms(spec, sort, depth)
 
 
 def test_enumeration_terms_distinct():

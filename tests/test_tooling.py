@@ -5,7 +5,8 @@ name, so a renamed or deleted function would silently drop out of a traced
 run; every name it wraps must still resolve.  And every public definition
 in the package needs a use in src/ or bench/, so that code only the tests
 reach does not pile up; so does every field, slot, method and property of
-a class in the package.
+a class in the package.  And the engine draws only through its decoder of
+Philox words, never through a numpy Generator of its own.
 """
 
 import ast
@@ -35,9 +36,7 @@ def test_traced_names_resolve():
 # Public definitions that nothing in src/ or bench/ uses yet, with why each
 # stays.  A name that gains a use must leave this list.
 UNREFERENCED = {
-    "closed_form_power": "the ODE reference the closure tests compare against",
     "power_law_exponent": "gets its caller in the closure-fit report (ROADMAP 5)",
-    "format_log": "writes the history fixtures that parse_log is tested on",
 }
 
 
@@ -102,3 +101,14 @@ def test_class_members_have_a_use():
                 unused += [f"{cls.name}.{name}" for name in names
                            if name not in used]
     assert unused == []
+
+
+def test_engine_builds_no_numpy_generator():
+    # One draw path: the engine decodes Philox words itself (PhiloxStream),
+    # so a Generator built in the engine would be a second one.
+    engine = ROOT / "src" / "eqgrow" / "engine.py"
+    built = [node.lineno for node in ast.walk(ast.parse(engine.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("Generator", "default_rng")]
+    assert built == []
