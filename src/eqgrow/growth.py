@@ -103,15 +103,19 @@ def series_from_sizes(sizes) -> GrowthSeries:
 
 
 def read_series_csv(path) -> GrowthSeries:
-    """Two-column CSV with a header naming columns t and n."""
+    """Two-column CSV with a header naming columns t and n.  A missing or
+    non-numeric cell raises SeriesError naming ``path:line``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"t", "n"} <= set(reader.fieldnames):
             raise SeriesError(f"{path}: expected columns t,n")
         t, n = [], []
         for row in reader:
-            t.append(float(row["t"]))
-            n.append(float(row["n"]))
+            try:
+                t.append(float(row["t"]))
+                n.append(float(row["n"]))
+            except (TypeError, ValueError) as exc:
+                raise SeriesError(f"{path}:{reader.line_num}: {exc}") from None
     return GrowthSeries(np.array(t), np.array(n))
 
 
@@ -647,7 +651,6 @@ class ForecastResult:
     split: int
     rmse_oos: float
     mape_oos: float
-    fit: FitResult
 
 
 def oos_forecast(series: GrowthSeries, split: int,
@@ -661,7 +664,7 @@ def oos_forecast(series: GrowthSeries, split: int,
     out = []
     for model, fit in zip(models, _fit_each(prefix, models)):
         if not fit.converged:
-            out.append(ForecastResult(model, split, math.inf, math.inf, fit))
+            out.append(ForecastResult(model, split, math.inf, math.inf))
             continue
         pred = fit.predict(t_tail)
         err = pred - n_tail
@@ -671,7 +674,7 @@ def oos_forecast(series: GrowthSeries, split: int,
             rmse = float(np.sqrt(np.mean(err ** 2)))
             pos = n_tail > 0
             mape = float(np.mean(np.abs(err[pos]) / n_tail[pos])) if np.any(pos) else math.inf
-        out.append(ForecastResult(model, split, rmse, mape, fit))
+        out.append(ForecastResult(model, split, rmse, mape))
     return out
 
 

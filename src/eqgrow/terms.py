@@ -1,7 +1,9 @@
 """Typed terms over three fixed substrate grammars.
 
-A term is an immutable expression tree: variables, constants, primitive
-function/predicate names, and operator applications.  Uppercase variable
+A term is an immutable expression tree: variables, constants, and operator
+applications.  A primitive (a unary function, predicate or binary operator
+passed to map, filter or fold) is a constant whose value is its function,
+taken from the one table of meanings, ``MEANINGS``.  Uppercase variable
 names (A, B, C, ...) are pattern variables; lowercase names are substrate
 variables.  ``var`` makes that decision, once per variable, by giving a
 pattern variable the kind "pvar"; every other check compares kinds.
@@ -40,7 +42,7 @@ class TermError(ValueError):
 
 
 class EvalError(ValueError):
-    """Evaluation failure (unbound variable, prim outside an operator)."""
+    """Evaluation of a term with an unbound variable."""
 
 
 class EnumerationTooLarge(ValueError):
@@ -58,10 +60,10 @@ class Term:
     """Immutable expression node.
 
     kind is one of "var" (a substrate variable), "pvar" (a pattern
-    variable), "const", "prim", "app".  For constants ``value``
-    holds the Python value (int, bool, or tuple for lists); for the other
-    kinds it is None.  ``text`` is the canonical printed form and defines
-    equality and hashing.
+    variable), "const", "app".  For constants ``value`` holds the Python
+    value (int, bool, tuple for lists, or a primitive's function); for the
+    other kinds it is None.  ``text`` is the canonical printed form and
+    defines equality and hashing.
     """
 
     __slots__ = ("kind", "label", "value", "args", "sort", "size", "text",
@@ -120,10 +122,6 @@ def const(value, sort: str) -> Term:
     return Term("const", label, value, (), sort)
 
 
-def prim(name: str, sort: str) -> Term:
-    return Term("prim", name, None, (), sort)
-
-
 def app(op: Operator, args) -> Term:
     args = tuple(args)
     if len(args) != len(op.arg_sorts):
@@ -147,7 +145,8 @@ def pattern_var_name(index: int) -> str:
 
 @dataclass(frozen=True)
 class SubstrateSpec:
-    """One substrate: operator signatures, variables, constants, prims.
+    """One substrate: operator signatures, variables, constants, and the
+    primitives' names and sorts.
 
     Everything else is derived from these, once per substrate: the
     principal sorts (the result sorts candidate terms take) and whether
@@ -185,14 +184,16 @@ class SubstrateSpec:
 
     @cached_property
     def leaves_by_sort(self) -> dict[str, tuple[Term, ...]]:
-        """Leaf terms per sort: variables first, then constants, then prims."""
+        """Leaf terms per sort: variables first, then constants, then
+        primitives, each a constant whose value is its meaning."""
         out: dict[str, list[Term]] = {}
         for name, sort in self.variables:
             out.setdefault(sort, []).append(var(name, sort))
         for value, sort in self.constants:
             out.setdefault(sort, []).append(const(value, sort))
         for name, sort in self.prims:
-            out.setdefault(sort, []).append(prim(name, sort))
+            out.setdefault(sort, []).append(
+                Term("const", name, MEANINGS[name], (), sort))
         return {s: tuple(v) for s, v in out.items()}
 
     @cached_property
@@ -257,31 +258,13 @@ SUBSTRATES = {"arith": ARITH, "bool": BOOLDOM, "list": LIST}
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# The meaning of each primitive, by label: the unary functions map takes,
-# the predicates filter takes and the binary operators fold takes.
-PRIMITIVES = {
-    "inc": lambda v: v + 1,
-    "dec": lambda v: v - 1,
-    "double": lambda v: 2 * v,
-    "square": lambda v: v * v,
-    "neg": lambda v: -v,
-    "id": lambda v: v,
-    "is_pos": lambda v: v > 0,
-    "is_neg": lambda v: v < 0,
-    "is_zero": lambda v: v == 0,
-    "nonzero": lambda v: v != 0,
-    "is_even": lambda v: v % 2 == 0,
-    "is_odd": lambda v: v % 2 != 0,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
-
-# The meaning of each operator, as a function of its arguments' values; the
-# value of a primitive argument is its meaning.  List operations are total:
-# map/filter of the empty list give (), fold of the empty list gives its
-# init argument.
-OPERATIONS = {
+# The meaning of each label, written once: an operator's as a function of its
+# arguments' values, and a primitive's (the unary functions map takes, the
+# predicates filter takes and the binary operators fold takes) as the value
+# of its constant.  "+", "-" and "*" are both operators and fold's
+# primitives, with one meaning.  List operations are total: map/filter of
+# the empty list give (), fold of the empty list gives its init argument.
+MEANINGS = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
@@ -295,6 +278,18 @@ OPERATIONS = {
     "length": len,
     "append": operator.add,
     "cons": lambda x, xs: (x,) + xs,
+    "inc": lambda v: v + 1,
+    "dec": lambda v: v - 1,
+    "double": lambda v: 2 * v,
+    "square": lambda v: v * v,
+    "neg": lambda v: -v,
+    "id": lambda v: v,
+    "is_pos": lambda v: v > 0,
+    "is_neg": lambda v: v < 0,
+    "is_zero": lambda v: v == 0,
+    "nonzero": lambda v: v != 0,
+    "is_even": lambda v: v % 2 == 0,
+    "is_odd": lambda v: v % 2 != 0,
 }
 
 
@@ -303,17 +298,13 @@ def evaluate(term: Term, env: dict):
     and pattern variables alike, by name.
 
     Raises EvalError on an unbound variable (a harness bug, never expected
-    in normal flow) or on a primitive outside an operator.
+    in normal flow).
     """
     k = term.kind
     if k == "app":
-        return OPERATIONS[term.label](*[
-            PRIMITIVES[a.label] if a.kind == "prim" else evaluate(a, env)
-            for a in term.args])
+        return MEANINGS[term.label](*[evaluate(a, env) for a in term.args])
     if k == "const":
         return term.value
-    if k == "prim":
-        raise EvalError(f"primitive {term.label!r} evaluated outside an operator")
     try:
         return env[term.label]
     except KeyError:
@@ -326,19 +317,17 @@ def evaluate_each(term: Term, envs: list[dict], memo: dict) -> tuple:
 
     ``memo`` maps each subterm walked to its tuple, so a subterm shared by
     several terms is evaluated once; it holds for this list of
-    environments only.  A primitive's tuple repeats its meaning.
+    environments only.
     """
     values = memo.get(term)
     if values is not None:
         return values
     k = term.kind
     if k == "app":
-        values = tuple(map(OPERATIONS[term.label],
+        values = tuple(map(MEANINGS[term.label],
                            *[evaluate_each(a, envs, memo) for a in term.args]))
     elif k == "const":
         values = (term.value,) * len(envs)
-    elif k == "prim":
-        values = (PRIMITIVES[term.label],) * len(envs)
     else:
         try:
             values = tuple(env[term.label] for env in envs)
@@ -524,10 +513,10 @@ def _count_table(spec: SubstrateSpec, max_depth: int,
 def enumerate_terms(spec: SubstrateSpec, sort: str, max_depth: int) -> list[Term]:
     """All well-sorted terms of ``sort`` up to ``max_depth``, canonically ordered.
 
-    Order: leaves first (variables, constants, prims in grammar order), then
-    operators in grammar order with argument tuples in lexicographic
-    recursion.  Refuses with EnumerationTooLarge when the projected count
-    exceeds ENUM_CAP.
+    Order: leaves first (variables, constants, primitives in grammar
+    order), then operators in grammar order with argument tuples in
+    lexicographic recursion.  Refuses with EnumerationTooLarge when the
+    projected count exceeds ENUM_CAP.
     """
     projected = count_terms(spec, sort, max_depth)
     if projected > ENUM_CAP:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import json
@@ -475,6 +476,49 @@ def test_bool_normalize_keeps_the_truth_table(term):
                                    for r in _bool_run_rules())))
     assert ([evaluate(nf, w) for w in worlds]
             == [evaluate(term, w) for w in worlds])
+
+
+def _occurrences(pattern):
+    """How often each pattern variable occurs in a pattern."""
+    counts = collections.Counter()
+    stack = [pattern]
+    while stack:
+        t = stack.pop()
+        if t.kind == "pvar":
+            counts[t.label] += 1
+        stack.extend(t.args)
+    return counts
+
+
+@functools.cache
+def _shrinking_run_rules(domain):
+    """The committed rules of a real run that make every instance smaller:
+    the left side is larger, and no variable occurs more often on the
+    right."""
+    rules = run_discovery(ArchConfig(domain, "compositional", "any", 3, 80, 0, 30)).rules
+    return tuple(r for r in rules if r.lhs.size > r.rhs.size
+                 and not _occurrences(r.rhs) - _occurrences(r.lhs))
+
+
+@st.composite
+def shrinking_problems(draw):
+    """(rules, term) over one grammar; some of the term's nodes are
+    instances of the rules' left sides, so that rewrites happen."""
+    spec = draw(st.sampled_from((ARITH, BOOLDOM, LIST)))
+    rules = _shrinking_run_rules(spec.domain_id)
+    sort = draw(st.sampled_from(spec.principal_sorts))
+    term = draw(_terms(spec, sort, 4, spec.leaves_by_sort,
+                       [r.lhs for r in rules]))
+    return rules, term
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=shrinking_problems())
+def test_normalize_never_grows_under_shrinking_rules(problem):
+    rules, term = problem
+    # fresh hit counts, so that each example replays alone
+    nf = normalize(term, ruleset(*(Rule(r.lhs, r.rhs) for r in rules)))
+    assert nf == term or nf.size < term.size
 
 
 def test_bool_smoke_run_golden():

@@ -422,16 +422,43 @@ def test_select_fits_power_law_once(monkeypatch):
     assert next(f for f in ranked if f.model == "saturating_pl").params == alone.params
 
 
+def scored_alone(model, series, split):
+    """The repr of (rmse_oos, mape_oos) from a fit of its own on the first
+    ``split`` points, scored on the rest as oos_forecast scores them; a fit
+    that did not converge scores inf."""
+    fit = fit_model(model, series.prefix(split))
+    if not fit.converged:
+        return repr((math.inf, math.inf))
+    n_tail = series.n[split:]
+    err = fit.predict(series.t[split:]) - n_tail
+    if not np.all(np.isfinite(err)):
+        return repr((math.inf, math.inf))
+    pos = n_tail > 0
+    mape = float(np.mean(np.abs(err[pos]) / n_tail[pos])) if np.any(pos) else math.inf
+    return repr((float(np.sqrt(np.mean(err ** 2))), mape))
+
+
+def scores(result):
+    return repr((result.rmse_oos, result.mape_oos))
+
+
 def test_forecast_fits_each_family_once(monkeypatch):
     series = noisy("saturating_pl", FAMILY_PARAMS["saturating_pl"], T200, 2)
-    prefix = series.prefix(100)
-    alone = {m: fit_model(m, prefix) for m in DEFAULT_MODELS}
+    alone = {m: scored_alone(m, series, 100) for m in DEFAULT_MODELS}
     calls = counting_solves(monkeypatch)
     results = oos_forecast(series, 100, DEFAULT_MODELS)
     assert calls == [["power_law"], ["stretched_exp", "saturating_pl"]]
     assert [r.model for r in results] == list(DEFAULT_MODELS)
     for r in results:
-        assert r.fit.params == alone[r.model].params
+        assert scores(r) == alone[r.model], r.model
+
+
+def test_forecast_scores_an_unconverged_prefix_fit_inf():
+    series = GrowthSeries(T200, np.where(T200 > 50, 100.0, 1.0))
+    assert not fit_model("saturating_pl", series.prefix(100)).converged
+    results = {r.model: scores(r) for r in oos_forecast(series, 100, MODELS)}
+    assert results == {m: scored_alone(m, series, 100) for m in MODELS}
+    assert results["saturating_pl"] == repr((math.inf, math.inf))
 
 
 def bitwise(fit):
@@ -450,9 +477,8 @@ def test_stacked_fits_equal_fits_of_their_own(family, length):
     alone = {m: bitwise(fit_model(m, series)) for m in MODELS}
     assert sorted(bitwise(f) for f in select_model(series, MODELS)) == sorted(alone.values())
     split = length // 2
-    prefix_alone = {m: bitwise(fit_model(m, series.prefix(split))) for m in MODELS}
     for r in oos_forecast(series, split, MODELS):
-        assert bitwise(r.fit) == prefix_alone[r.model], r.model
+        assert scores(r) == scored_alone(r.model, series, split), r.model
 
 
 def test_nonconverged_ranks_last():
@@ -572,12 +598,13 @@ def test_forecast_saturated_data_prefers_saturating():
 
 def test_forecast_anti_leakage():
     series = noisy("power_law", {"a": 2.0, "b": 0.9}, T200, 6)
-    fits = {r.model: r.fit for r in oos_forecast(series, 80, DEFAULT_MODELS)}
     tampered = GrowthSeries(series.t, np.concatenate([series.n[:80],
                                                       series.n[80:] * 100]))
-    fits2 = {r.model: r.fit for r in oos_forecast(tampered, 80, DEFAULT_MODELS)}
-    for model in fits:
-        assert fits[model].params == fits2[model].params
+    # each forecast scores the tail with a fit of the first 80 points alone,
+    # which tampering with the tail leaves unchanged
+    for s in (series, tampered):
+        for r in oos_forecast(s, 80, DEFAULT_MODELS):
+            assert scores(r) == scored_alone(r.model, s, 80), r.model
 
 
 def test_forecast_split_bounds():

@@ -327,6 +327,20 @@ def test_cli_missing_sweep_file_is_named(tmp_path, capsys, command):
     assert not (tmp_path / "analysis").exists()
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("t,n\n1,2\n2\n", 3, "not 'NoneType'"),
+    ("t,n\n1,2\n2,abc\n", 3, "'abc'"),
+    ("t,n\nx,2\n", 2, "'x'"),
+], ids=["missing-cell", "bad-n", "bad-t"])
+def test_cli_fit_bad_series_cell_names_the_line(tmp_path, capsys, text, line,
+                                                reason):
+    series = tmp_path / "series.csv"
+    series.write_text(text)
+    assert main(["fit", str(series)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {series}:{line}: ") and reason in err
+
+
 def test_cli_analyze_error_only_file_is_named(tmp_path, capsys):
     errors = tmp_path / "errors.jsonl"
     errors.write_text(json.dumps({"domain": "bool", "seed": 0,

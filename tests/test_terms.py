@@ -1,4 +1,6 @@
+import ast
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -8,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from eqgrow.engine import (
     ArchConfig, _config_rng, _environments, _grow, sample_env,
 )
+from eqgrow import terms
 from eqgrow.terms import (
-    ARITH, BOOL, BOOLDOM, EnumerationTooLarge, FUN1, INT, INTLIST, LIST, PRED,
-    SUBSTRATES, Term, app, const, count_terms, enumerate_terms, evaluate,
-    evaluate_each, TermError, generalize, match, parse_term,
+    ARITH, BOOL, BOOLDOM, EnumerationTooLarge, FUN1, INT, INTLIST, LIST,
+    MEANINGS, PRED, SUBSTRATES, Term, app, const, count_terms, enumerate_terms,
+    evaluate, evaluate_each, TermError, generalize, match, parse_term,
     pattern_variables, subterms, substitute, var,
 )
 
@@ -52,6 +55,16 @@ def test_eval_unbound_variable_raises():
     from eqgrow.terms import EvalError
     with pytest.raises(EvalError):
         evaluate(T(ARITH, "(+ x y)"), {"x": 1})
+
+
+def test_a_bare_primitive_evaluates_to_its_meaning():
+    envs = [{"x": 1}, {"x": -4}]
+    for name, sort in LIST.prims:
+        leaf = T(LIST, name)
+        assert (leaf.kind, leaf.label, leaf.sort) == ("const", name, sort)
+        assert evaluate(leaf, {}) is MEANINGS[name]
+        assert evaluate_each(leaf, envs, {}) == (MEANINGS[name],) * 2
+    assert evaluate(T(LIST, "(fold * 1 (cons 2 (cons x [])))"), {"x": -4}) == -8
 
 
 def test_eval_deterministic():
@@ -343,7 +356,7 @@ def test_parse_pattern_with_sorts():
 
 
 def test_parse_refuses_a_leaf_at_the_wrong_sort():
-    # a constant or prim is looked up at the sort its slot expects
+    # a constant (a primitive too) is looked up at the sort its slot expects
     for text in ("(+ x [])", "(map + xs)"):
         with pytest.raises(TermError, match="unknown atom"):
             parse_term(LIST, text)
@@ -360,6 +373,20 @@ def test_derived_substrate_facts(spec, principal, exhaustive):
     assert spec.exhaustive_bool is exhaustive
     # parse_term finds every leaf by its label alone
     assert len(spec.leaves_by_label) == sum(map(len, spec.leaves_by_sort.values()))
+    # a leaf is a variable or a constant; a primitive is a constant whose
+    # value is its meaning
+    assert {leaf.kind for leaf in spec.leaves_by_label.values()} <= {"var", "const"}
+    for name, _ in spec.prims:
+        assert spec.leaves_by_label[name].value is MEANINGS[name]
+    # one table holds the meaning of every operator and primitive label,
+    # once: its literal repeats no key (a repeat would drop a meaning) and
+    # has no other key
+    table = next(node.value for node in ast.walk(ast.parse(inspect.getsource(terms)))
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["MEANINGS"])
+    labels = {label for s in SUBSTRATES.values()
+              for label in [op.name for op in s.operators] + [n for n, _ in s.prims]}
+    assert sorted(key.value for key in table.keys) == sorted(labels)
 
 
 def test_term_equality_includes_sort():
