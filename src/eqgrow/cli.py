@@ -18,13 +18,12 @@ import numpy as np
 from . import __version__
 from .closure import ClosureParams, estimate_mu, simulate_ode
 from .engine import SUBSTRATES, load_rules
-from .growth import (DEFAULT_MODELS, MODELS, bootstrap_ci, fit_csv_row,
-                     FIT_CSV_HEADER, oos_forecast, read_series_csv,
-                     select_model, series_from_sizes, write_series_csv)
-from .ingest import (LogParseError, monthly_series, parse_log,
-                     write_monthly_csv)
+from .growth import (DEFAULT_MODELS, MODELS, bootstrap_ci, oos_forecast,
+                     select_model, series_from_sizes)
+from .ingest import LogParseError, monthly_series, parse_log
 from .regression import (build_features, kfold_cv, pooled_eval, transfer_eval)
-from .report import (domain_table_text, read_exponents_csv, render_table,
+from .report import (FIT_CSV_HEADER, domain_table_text, fit_csv_row,
+                     read_exponents_csv, read_series_csv, render_table,
                      svg_line_plot, write_csv, write_domain_table_csv,
                      write_exponents_csv, write_histogram_csv,
                      write_window_winners_csv, window_winners_text)
@@ -300,7 +299,9 @@ def _cmd_ingest(args) -> int:
         name = "<stdin>" if args.log == "-" else args.log
         raise LogParseError(f"{name}: {exc}") from None
     series = monthly_series(records, mode=args.mode, glob=args.glob)
-    write_monthly_csv(args.out, series)
+    write_csv(args.out, ("month", "t", "n"),
+              [[month, i, n] for i, (month, n)
+               in enumerate(zip(series.months, series.cumulative), 1)])
     total = series.cumulative[-1] if series.cumulative else 0
     print(f"{len(records)} commits, {len(series.months)} months, "
           f"total {total} -> {args.out}")
@@ -333,7 +334,9 @@ def _cmd_ode(args) -> int:
     params = ClosureParams(throughput=args.throughput, exponent=args.exponent,
                            coverage=args.coverage, n0=args.n0)
     series = simulate_ode(params, args.t_end, args.dt)
-    write_series_csv(args.out, series)
+    write_csv(args.out, ("t", "n"),
+              [[format(t, ".12g"), format(n, ".12g")]
+               for t, n in zip(series.t, series.n)])
     print(f"{len(series)} samples -> {args.out}")
     return EXIT_OK
 

@@ -208,11 +208,16 @@ def estimate_mu(lhss: list[Term], spec: SubstrateSpec, depth: int,
     fractions = [size / totals[lhs.sort] for lhs, size in zip(lhss, sizes)]
     n = len(lhss)
     overlap = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            denom = min(sizes[i], sizes[j])
-            if denom and lhss[i].sort == lhss[j].sort:
-                overlap[i, j] = overlap[j, i] = common(i, j) / denom
+    # a rule that covers nothing overlaps nothing: only covering rules of
+    # one sort are paired
+    covering: dict[str, list[int]] = {}
+    for i, (lhs, size) in enumerate(zip(lhss, sizes)):
+        if size:
+            covering.setdefault(lhs.sort, []).append(i)
+    for group in covering.values():
+        for k, i in enumerate(group):
+            for j in group[k:]:
+                overlap[i, j] = overlap[j, i] = common(i, j) / min(sizes[i], sizes[j])
     return CoverageReport(fractions=fractions,
                           mu_hat=float(np.mean(fractions)),
                           overlap=overlap, space_size=sum(totals.values()))

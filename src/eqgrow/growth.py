@@ -46,8 +46,6 @@ series so they are directly comparable.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -100,31 +98,6 @@ def series_from_sizes(sizes) -> GrowthSeries:
     sizes = list(sizes)
     return GrowthSeries(np.arange(1, len(sizes) + 1, dtype=float),
                         np.asarray(sizes, dtype=float))
-
-
-def read_series_csv(path) -> GrowthSeries:
-    """Two-column CSV with a header naming columns t and n.  A missing or
-    non-numeric cell raises SeriesError naming ``path:line``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"t", "n"} <= set(reader.fieldnames):
-            raise SeriesError(f"{path}: expected columns t,n")
-        t, n = [], []
-        for row in reader:
-            try:
-                t.append(float(row["t"]))
-                n.append(float(row["n"]))
-            except (TypeError, ValueError) as exc:
-                raise SeriesError(f"{path}:{reader.line_num}: {exc}") from None
-    return GrowthSeries(np.array(t), np.array(n))
-
-
-def write_series_csv(path, series: GrowthSeries):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n"])
-        for t, n in zip(series.t, series.n):
-            writer.writerow([format(t, ".12g"), format(n, ".12g")])
 
 
 @dataclass
@@ -676,26 +649,3 @@ def oos_forecast(series: GrowthSeries, split: int,
             mape = float(np.mean(np.abs(err[pos]) / n_tail[pos])) if np.any(pos) else math.inf
         out.append(ForecastResult(model, split, rmse, mape))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Report rows
-# ---------------------------------------------------------------------------
-
-FIT_CSV_HEADER = ["model", "params", "rss", "r2", "log_r2", "aic", "bic",
-                  "converged", "degenerate"]
-
-
-def fit_csv_row(fit: FitResult) -> list[str]:
-    return [
-        fit.model,
-        json.dumps({k: round(v, 10) for k, v in fit.params.items()},
-                   sort_keys=True),
-        format(fit.rss, ".10g"),
-        format(fit.r2, ".10g"),
-        "" if fit.log_r2 is None else format(fit.log_r2, ".10g"),
-        format(fit.aic, ".10g"),
-        format(fit.bic, ".10g"),
-        str(int(fit.converged)),
-        str(int(fit.degenerate)),
-    ]

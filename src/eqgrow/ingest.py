@@ -146,10 +146,3 @@ def monthly_series(records: list[CommitRecord], mode: str = "commits",
         total += inc
         cumulative.append(total)
     return MonthlySeries(months, increments, cumulative)
-
-
-def write_monthly_csv(path, series: MonthlySeries):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("month,t,n\n")
-        for i, (month, cum) in enumerate(zip(series.months, series.cumulative)):
-            fh.write(f"{month},{i + 1},{cum}\n")

@@ -1,18 +1,22 @@
 """CSV, text-table, and SVG emission for analysis reports.
 
+This module is the one owner of the CSV format: every table the CLI
+writes goes through write_csv, and every table it reads through read_csv.
 Every writer formats numbers with a fixed precision so identical inputs
-produce byte-identical files.  The exponent table is also read back here,
-by the regression commands.
+produce byte-identical files, with LF line ends.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 
+from .growth import FitResult, GrowthSeries
 from .sweep import ROW_FIELDS, AnalysisReport
 
 EXPONENT_COLUMNS = ROW_FIELDS + ("b", "degenerate")
+EXPONENT_TYPES = {"depth": int, "batch_size": int, "seed": int, "b": float}
 DOMAIN_COLUMNS = ("domain", "n", "mean_b", "max_b", "count_b_gt_1",
                   "frac_b_lt_0.1")
 
@@ -47,27 +51,64 @@ def write_exponents_csv(path, report: AnalysisReport):
     write_csv(path, EXPONENT_COLUMNS, rows)
 
 
-def read_exponents_csv(path) -> list[dict]:
-    """The rows of an exponent table, with its numeric grid fields and b
-    converted.  A missing column or a table without rows raises ValueError
-    naming the file, and a value that does not convert one naming its line."""
-    rows = []
+def read_csv(path, columns: dict) -> list[dict]:
+    """The rows of a CSV table as {column: value} over the columns named
+    by ``columns``, each cell converted by the column's function there.
+    The header may name other columns too.  A requested column missing
+    from the header raises ValueError naming the file; a row with a missing
+    or an extra cell, or a cell that does not convert, one naming
+    ``path:line``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in EXPONENT_COLUMNS if c not in (reader.fieldnames or ())]
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+        rows = []
         for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row:
+                raise ValueError(f"{where}: extra cell")
+            if None in row.values():
+                raise ValueError(f"{where}: missing cell")
             try:
-                for name in ("depth", "batch_size", "seed"):
-                    row[name] = int(row[name])
-                row["b"] = float(row["b"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            rows.append(row)
+                rows.append({c: convert(row[c]) for c, convert in columns.items()})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return rows
+
+
+def read_series_csv(path) -> GrowthSeries:
+    """A growth series from a table with columns t and n."""
+    rows = read_csv(path, {"t": float, "n": float})
+    return GrowthSeries([r["t"] for r in rows], [r["n"] for r in rows])
+
+
+def read_exponents_csv(path) -> list[dict]:
+    """The rows of an exponent table, with its numeric grid fields and b
+    converted; a table without rows raises ValueError naming the file."""
+    rows = read_csv(path, {c: EXPONENT_TYPES.get(c, str) for c in EXPONENT_COLUMNS})
     if not rows:
         raise ValueError(f"{path}: empty exponent table")
     return rows
+
+
+FIT_CSV_HEADER = ["model", "params", "rss", "r2", "log_r2", "aic", "bic",
+                  "converged", "degenerate"]
+
+
+def fit_csv_row(fit: FitResult) -> list[str]:
+    return [
+        fit.model,
+        json.dumps({k: round(v, 10) for k, v in fit.params.items()},
+                   sort_keys=True),
+        format(fit.rss, ".10g"),
+        format(fit.r2, ".10g"),
+        "" if fit.log_r2 is None else format(fit.log_r2, ".10g"),
+        format(fit.aic, ".10g"),
+        format(fit.bic, ".10g"),
+        str(int(fit.converged)),
+        str(int(fit.degenerate)),
+    ]
 
 
 def write_domain_table_csv(path, report: AnalysisReport):

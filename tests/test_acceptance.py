@@ -23,6 +23,7 @@ from eqgrow.regression import build_features, kfold_cv, pooled_eval, transfer_ev
 from eqgrow.sweep import SweepPlan, analyze, long_range_plan, run_sweep
 from eqgrow.terms import (ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST,
                           count_terms, enumerate_terms, var)
+import golden
 from test_closure import closed_form_power
 from test_ingest import format_log
 
@@ -205,14 +206,18 @@ def test_criterion_06_enumeration_recurrence():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def short_range_sweep(tmp_path_factory):
+def short_range_records(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep") / "short_range.jsonl"
     plan = SweepPlan(seeds=(0, 1), epochs=30)  # 240 configurations per domain
     start = time.perf_counter()
     records = run_sweep(plan, out)
-    elapsed = time.perf_counter() - start
-    report = analyze(records, windows=(30,))
-    return report, elapsed
+    return records, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def short_range_sweep(short_range_records):
+    records, elapsed = short_range_records
+    return analyze(records, windows=(30,)), elapsed
 
 
 def _domain_stats(report):
@@ -263,6 +268,14 @@ def test_criterion_07d_runtime(short_range_sweep):
     assert elapsed < 1800.0, elapsed
     print(f"ACCEPTANCE 7d sweep runtime: PASS "
           f"({sum(per_domain.values())} configs in {elapsed:.0f}s)")
+
+
+def test_short_range_sweep_golden(short_range_records, short_range_sweep):
+    records, _ = short_range_records
+    report, _ = short_range_sweep
+    assert golden.records_digest(records) == golden.SHORT_RANGE_RECORDS
+    assert (golden.digest(dict(report.window_winners[30]))
+            == golden.SHORT_RANGE_WINNERS_30)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +375,11 @@ def test_criterion_09_long_range_window_shift(long_range_runs):
     assert sat_wins_500 >= 3, sat_wins_500
     assert power_wins_oos >= 3, power_wins_oos
     print("ACCEPTANCE 9 long-range window shift: PASS")
+
+
+def test_long_range_runs_golden(long_range_runs):
+    records, _ = long_range_runs
+    assert golden.records_digest(records) == golden.LONG_RANGE_RECORDS
 
 
 # ---------------------------------------------------------------------------

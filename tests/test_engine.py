@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqgrow.engine import (
-    NORMALIZE_STEP_CAP, RAW_BLOCK, ArchConfig, ConfigError, GeneratorState,
-    PhiloxStream, Rule, RuleSet, dump_rules, generate_candidate,
+    ENGINE_VERSION, NORMALIZE_STEP_CAP, RAW_BLOCK, ArchConfig, ConfigError,
+    GeneratorState, PhiloxStream, Rule, RuleSet, dump_rules, generate_candidate,
     is_reducible, load_rules, normalize, record_to_json, run_discovery,
     sample_env, sound, trajectory_record, _config_rng, _environments, _grow,
 )
@@ -17,6 +17,7 @@ from eqgrow.terms import (
     ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST, SUBSTRATES, Term, app, evaluate,
     match, parse_term, pattern_variables, substitute, subterms, var,
 )
+import golden
 
 BOOL_SMOKE_FINAL = 214  # bool/random/any/d3/bs80/seed0, 30 epochs
 
@@ -528,24 +529,29 @@ def test_bool_smoke_run_golden():
     assert result.trajectory.sizes[-1] > 0
 
 
-# sha256 of the size list, a newline and the dumped rule file, for
-# engine eqgrow-0.1.0; a change of the engine's semantics changes them.
-GOLDEN_RUNS = [
-    (ArchConfig("list", "compositional", "any", 2, 80, 0, 60),
-     "593f98a91dcb99acd667df95c516d886dadc2c93f232f0b2475cf2b6ea5527f3"),
-    (ArchConfig("arith", "compositional", "novelty", 3, 80, 0, 30),
-     "00e2b67bdb8f6a1136e85e46ec95cd2c4a6a395a95245c4028d0f1a4a1f79188"),
-]
+GOLDEN_RUNS = {
+    "list": ArchConfig("list", "compositional", "any", 2, 80, 0, 60),
+    "arith": ArchConfig("arith", "compositional", "novelty", 3, 80, 0, 30),
+}
 
 
-@pytest.mark.parametrize("config,digest", GOLDEN_RUNS, ids=["list", "arith"])
-def test_golden_trajectory(config, digest, tmp_path):
-    result = run_discovery(config)
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_golden_trajectory(name, tmp_path):
+    assert ENGINE_VERSION == golden.ENGINE_VERSION
+    result = run_discovery(GOLDEN_RUNS[name])
     path = tmp_path / "run.rules"
     dump_rules(path, result.rules)
     got = hashlib.sha256(json.dumps(result.trajectory.sizes).encode()
                          + b"\n" + path.read_bytes()).hexdigest()
-    assert got == digest
+    assert got == golden.TRAJECTORY[name]
+
+
+def test_discover_long_sizes_golden():
+    # the benchmark's discover_long configurations: (engine seed, epochs)
+    sizes = [run_discovery(ArchConfig("list", "compositional", "any", 2, 80,
+                                      seed, epochs)).trajectory.sizes
+             for seed, epochs in ((0, 160), (1, 80), (2, 80))]
+    assert golden.digest(sizes) == golden.DISCOVER_LONG_SIZES
 
 
 @pytest.mark.parametrize("domain,generator,filt", [

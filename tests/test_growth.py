@@ -10,9 +10,10 @@ from eqgrow import growth
 from eqgrow.growth import (
     DEFAULT_MODELS, FitResult, GrowthSeries, MODELS, PARAM_NAMES, SeriesError,
     TAU_BOX, X_MIN,
-    bootstrap_ci, fit_csv_row, fit_model, fit_power_law, oos_forecast, predict,
-    read_series_csv, select_model, series_from_sizes, write_series_csv,
+    bootstrap_ci, fit_model, fit_power_law, oos_forecast, predict,
+    select_model, series_from_sizes,
 )
+from eqgrow.report import fit_csv_row, read_series_csv, write_csv
 
 T200 = np.arange(1, 201, dtype=float)
 
@@ -629,7 +630,7 @@ def test_series_validation():
 def test_series_csv_roundtrip(tmp_path):
     series = series_from_sizes([1, 3, 5, 5, 9])
     path = tmp_path / "series.csv"
-    write_series_csv(path, series)
+    write_csv(path, ("t", "n"), zip(series.t, series.n))
     loaded = read_series_csv(path)
     assert np.array_equal(loaded.t, series.t)
     assert np.array_equal(loaded.n, series.n)

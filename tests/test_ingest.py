@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from eqgrow.growth import read_series_csv
-from eqgrow.ingest import (
-    CommitRecord, LogParseError, monthly_series, parse_log, write_monthly_csv,
-)
+from eqgrow.cli import main
+from eqgrow.ingest import CommitRecord, LogParseError, monthly_series, parse_log
+from eqgrow.report import read_series_csv
 
 
 def format_log(records: list[CommitRecord]) -> str:
@@ -117,11 +116,11 @@ def test_printer_parse_roundtrip():
     assert parse_log(format_log(records)) == records
 
 
-def test_growth_series_conversion_and_csv(tmp_path):
-    records = parse_log(SAMPLE)
-    series = monthly_series(records, mode="commits")
+def test_growth_series_conversion_and_csv(tmp_path, capsys):
+    log = tmp_path / "history.log"
+    log.write_text(SAMPLE)
     path = tmp_path / "monthly.csv"
-    write_monthly_csv(path, series)
+    assert main(["ingest", str(log), "--mode", "commits", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "month,t,n"
     assert lines[1] == "2021-05,1,2"

@@ -328,10 +328,11 @@ def test_cli_missing_sweep_file_is_named(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("text, line, reason", [
-    ("t,n\n1,2\n2\n", 3, "not 'NoneType'"),
+    ("t,n\n1,2\n2\n", 3, "missing cell"),
+    ("t,n\n1,2,9\n2,3\n", 2, "extra cell"),
     ("t,n\n1,2\n2,abc\n", 3, "'abc'"),
     ("t,n\nx,2\n", 2, "'x'"),
-], ids=["missing-cell", "bad-n", "bad-t"])
+], ids=["missing-cell", "extra-cell", "bad-n", "bad-t"])
 def test_cli_fit_bad_series_cell_names_the_line(tmp_path, capsys, text, line,
                                                 reason):
     series = tmp_path / "series.csv"
@@ -502,6 +503,14 @@ def test_cli_ingest_and_ode(tmp_path, capsys):
     assert ode_out.read_text().splitlines()[1] == "1,2"
 
 
+def test_cli_ode_writes_lf_and_twelve_digits(tmp_path, capsys):
+    out = tmp_path / "ode.csv"
+    assert main(["ode", "--throughput", "1", "--exponent", "0.5",
+                 "--t-end", "3", "--dt", "0.1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (b"t,n\n1,0.249806664051\n2,0.9996125859\n"
+                                b"3,2.24941874993\n")
+
+
 def test_cli_ingest_glob_outside_new_files_is_data_error(tmp_path, capsys):
     log = tmp_path / "history.log"
     log.write_text(format_log([CommitRecord("2020-01", ["A.lean"])]))
@@ -627,7 +636,15 @@ EXPONENT_ROWS = [(domain, seed) for domain in ("arith", "list") for seed in rang
      + "".join(f"{d},random,any,2,40,{s},0.{s + 5},0\n" for d, s in EXPONENT_ROWS)
      + "list,random,any,2,40,9,high,0\n",
      "{path}:10: "),
-], ids=["missing_columns", "bad_value"])
+    ("domain,generator,filter,depth,batch_size,seed,b,degenerate\n"
+     + "".join(f"{d},random,any,2,40,{s},0.{s + 5},0\n" for d, s in EXPONENT_ROWS)
+     + "list,random,any,2,40,9,0.5,0,7\n",
+     "{path}:10: extra cell"),
+    ("domain,generator,filter,depth,batch_size,seed,b,degenerate\n"
+     + "".join(f"{d},random,any,2,40,{s},0.{s + 5},0\n" for d, s in EXPONENT_ROWS)
+     + "list,random,any,2,40,9,0.5\n",
+     "{path}:10: missing cell"),
+], ids=["missing_columns", "bad_value", "extra_cell", "missing_last_cell"])
 def test_cli_malformed_exponent_table_is_data_error(tmp_path, capsys, command,
                                                     table, message):
     exponents = tmp_path / "exponents.csv"

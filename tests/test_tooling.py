@@ -6,7 +6,8 @@ run; every name it wraps must still resolve.  And every public definition
 in the package needs a use in src/ or bench/, so that code only the tests
 reach does not pile up; so does every field, slot, method and property of
 a class in the package.  And the engine draws only through its decoder of
-Philox words, never through a numpy Generator of its own.
+Philox words, never through a numpy Generator of its own.  And only report
+imports csv, so the CSV format has one owner.
 """
 
 import ast
@@ -131,3 +132,16 @@ def test_engine_builds_no_numpy_generator():
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              in ("Generator", "default_rng")]
     assert built == []
+
+
+def test_only_report_reads_or_writes_csv():
+    # One owner of the CSV format: report's read_csv and write_csv.
+    importers = []
+    for path in sorted((ROOT / "src" / "eqgrow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "csv" in names and path.name != "report.py":
+                importers.append(path.name)
+    assert importers == []
