@@ -1,3 +1,3 @@
 """Equational rule discovery substrates and growth-law analysis tools."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

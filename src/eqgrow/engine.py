@@ -1,17 +1,18 @@
 """Equational rule discovery over the typed substrates.
 
 Each discovery epoch draws a batch of candidate terms of the substrate's
-principal sorts (its operators' result sorts) from a generator, normalizes
-them against the current rule set, groups them by the semantic fingerprint
-of their normal forms (evaluation on the epoch's shared environments:
-every assignment when all variables are Bool, as in the boolean domain;
-one walk per normal form gives its values under all of them, and a
-subterm shared by several is evaluated once per epoch), and
+principal sorts (its operators' result sorts) from a generator, groups
+them by their semantic fingerprint (evaluation on the epoch's shared
+environments: every assignment when all variables are Bool, as in the
+boolean domain; one walk per candidate gives its values under all of them,
+and a subterm shared by several is evaluated once per epoch), and
 turns each group of two or more into a candidate equation: the largest
 member oriented onto the smallest.  Sound, strictly size-decreasing pairs
 are generalized to pattern rules, passed through the acceptance filter, and
 committed.  Subterms of committed equations feed a pool that the
-compositional generators draw from.
+compositional generators draw from.  The loop does not rewrite: a sound
+rule keeps a term's value, so a normal form would have the fingerprint of
+the candidate it came from.
 
 A run is a pure function of its configuration: the pseudo-random stream is
 a counter-based Philox generator keyed by the configuration fields, decoded
@@ -21,6 +22,7 @@ tie-breaks are canonical-order deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -42,6 +44,10 @@ SWEEP_BATCH_SIZES = (40, 60, 80, 120, 160)
 
 LEAF_PROB = 0.3          # grow-method leaf probability below the depth cap
 SOUND_SAMPLES = 12       # random environments per soundness check
+# The fixed environments a sampled domain's soundness check tries first: in
+# each, every Int variable takes the pair's int and every IntList variable
+# its list.  False rules hide at 0 and in lists that hold 0.
+BOUNDARY_VALUES = ((0, ()), (0, (0,)), (1, (0, 1)), (-1, (-1, 0, 2)))
 INT_LOW, INT_HIGH = -10, 10
 LIST_LEN_MAX = 5
 NORMALIZE_STEP_CAP = 48
@@ -131,9 +137,7 @@ class RuleSet:
     not an operator application never applies.
 
     The redexes of each subterm are memoized.  They depend on the rules but
-    not on their hit counts, so the memo holds until the next ``add``, and
-    the discovery loop clears it at each epoch start to keep it to one
-    epoch's terms.
+    not on their hit counts, so the memo holds until the next ``add``.
     """
 
     def __init__(self):
@@ -160,10 +164,6 @@ class RuleSet:
                 node = child
             self._leaves.setdefault(node, []).append((len(self.rules), rule))
         self.rules.append(rule)
-        self._redexes.clear()
-
-    def clear_memo(self):
-        """Forget the memoized redexes."""
         self._redexes.clear()
 
     def redexes(self, term: Term) -> list[tuple[int, int, Rule, dict]]:
@@ -258,7 +258,8 @@ def _precedence(redex: tuple) -> tuple:
 
 
 def normalize(term: Term, ruleset: RuleSet) -> Term:
-    """Rewrite to a fixpoint or the step cap.
+    """Rewrite to a fixpoint or the step cap.  The discovery loop does not
+    rewrite; this is a library function.
 
     At each step the applicable rule with the smallest ``(-hit_count,
     order of addition)`` wins, at its first preorder position in the term;
@@ -390,14 +391,27 @@ def _environments(spec: SubstrateSpec, rng: PhiloxStream):
     return (sample_env(spec, rng) for _ in range(SOUND_SAMPLES))
 
 
+@functools.cache
+def _boundary_environments(spec: SubstrateSpec) -> tuple[dict, ...]:
+    """One environment per pair of BOUNDARY_VALUES, over a sampled
+    substrate's variables.  The environments are shared; do not change
+    them."""
+    return tuple({name: {INT: n, INTLIST: xs}[sort]
+                  for name, sort in spec.variables}
+                 for n, xs in BOUNDARY_VALUES)
+
+
 def sound(lhs: Term, rhs: Term, spec: SubstrateSpec,
           rng: PhiloxStream) -> bool:
     """Semantic equivalence check: exact value equality on every boolean
-    assignment, or on 12 random environments drawn until the first mismatch.
-    The discovery loop calls it for the sampled domains only: a boolean
-    fingerprint already is this check."""
-    return all(evaluate(lhs, env) == evaluate(rhs, env)
-               for env in _environments(spec, rng))
+    assignment, or on the boundary environments (which draw nothing) and
+    then 12 random ones, until the first mismatch.  The discovery loop
+    calls it for the sampled domains only: a boolean fingerprint already is
+    this check."""
+    envs = _environments(spec, rng)
+    if not spec.exhaustive_bool:
+        envs = itertools.chain(_boundary_environments(spec), envs)
+    return all(evaluate(lhs, env) == evaluate(rhs, env) for env in envs)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +570,6 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
     sizes: list[int] = []
 
     for _ in range(config.epochs):
-        ruleset.clear_memo()
         envs = list(_environments(spec, rng))
         values: dict[Term, tuple] = {}
 
@@ -568,8 +581,7 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
                 sort = spec.principal_sorts[0]
             cand = generate_candidate(state, config.generator, spec,
                                       config.depth, sort)
-            nf = normalize(cand, ruleset)
-            fingerprint = (nf.sort,) + evaluate_each(nf, envs, values)
+            fingerprint = (cand.sort,) + evaluate_each(cand, envs, values)
             groups.setdefault(fingerprint, []).append(cand)
 
         for members in groups.values():
@@ -579,8 +591,8 @@ def run_discovery(config: ArchConfig) -> DiscoveryResult:
             rhs_c = min(members, key=lambda t: (t.size, t.text))
             if lhs_c.size <= rhs_c.size:
                 continue
-            # A boolean fingerprint is the truth table of the normal form, and
-            # valid rules keep it: the two ends agree on every assignment.
+            # A boolean fingerprint is the candidate's truth table: the two
+            # ends agree on every assignment.
             if not spec.exhaustive_bool and not sound(lhs_c, rhs_c, spec, rng):
                 continue
             lhs, rhs = generalize(lhs_c, rhs_c)

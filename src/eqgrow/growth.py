@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 MODELS = ("power_law", "stretched_exp", "saturating_pl", "linear", "log_normal")
 DEFAULT_MODELS = ("power_law", "stretched_exp", "saturating_pl")
@@ -151,6 +150,7 @@ def _shape(model: str, theta: np.ndarray, t: np.ndarray):
         e = np.exp(-x)
         return 1.0 - e, (-e * beta * x / tau, e * x * np.log(ratio))
     if model == "log_normal":
+        from scipy.special import ndtr  # only log_normal needs scipy
         m, s = cols
         z = (np.log(t) - m) / s
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
@@ -216,6 +216,7 @@ def _box(model: str, theta: np.ndarray, t: np.ndarray):
 def _far_tail(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per log_normal row (m, s): the whole series lies in the CDF's far
     left tail, Phi((ln t[-1] - m) / s) < X_MIN."""
+    from scipy.special import ndtr
     return ndtr((math.log(t[-1]) - theta[:, 0]) / theta[:, 1]) < X_MIN
 
 

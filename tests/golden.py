@@ -13,26 +13,26 @@ import json
 
 from eqgrow.engine import KEY_FIELDS
 
-ENGINE_VERSION = "eqgrow-0.1.0"
+ENGINE_VERSION = "eqgrow-0.2.0"
 
 # test_golden_trajectory: the size list, a newline and the dumped rule file.
 TRAJECTORY = {
-    "list": "593f98a91dcb99acd667df95c516d886dadc2c93f232f0b2475cf2b6ea5527f3",
+    "list": "52b263f49e02ad4fab6f70ca495df64fde3b942023024dcb8018c41bacdaa447",
     "arith": "00e2b67bdb8f6a1136e85e46ec95cd2c4a6a395a95245c4028d0f1a4a1f79188",
 }
 
 # The benchmark's discover_long runs: the three size lists
 # (bench/README.md cites it as ``discover_long.sizes``).
-DISCOVER_LONG_SIZES = "cb9486544432801b83d31d000826f53d240dac601d679a955a1d8e4e54273049"
+DISCOVER_LONG_SIZES = "20040425c266213adef546a6e0cf685beff53afd546785abfa18461546200f97"
 
 # The acceptance suite's 720-configuration sweep (seeds 0 and 1, 30
 # epochs): its records, then its window-30 AIC-winner table
-# (power_law 404, stretched_exp 170, saturating_pl 146).
-SHORT_RANGE_RECORDS = "44ce3ce6ee1b7c41f54496fc8a8221e4cdf3aa7e5826c96a539334f503047858"
-SHORT_RANGE_WINNERS_30 = "3875f969e8174057d382f93c767cb7c163d70d52d8498a7186837027ff8fd069"
+# (power_law 404, stretched_exp 176, saturating_pl 140).
+SHORT_RANGE_RECORDS = "858340c69527d26044568158572a0fe46b41741354b23bf5ac3af1b788a2ce2a"
+SHORT_RANGE_WINNERS_30 = "ed02c7b79737b04fcfa7bbd9460a939f2039324bbaed4c3fea3d418dc2a2ef71"
 
-# The five long-range runs (final sizes 4195, 3850, 3924, 3948, 3917).
-LONG_RANGE_RECORDS = "069cf57b5a88063bfeeb1d677f3abcfd38ae7d94e04f4855eccccc01933e4d54"
+# The five long-range runs (final sizes 3852, 4123, 4020, 3930, 3884).
+LONG_RANGE_RECORDS = "0ddb7cbf652cb9822258c1fd9d2b2ad8df6e34e4267fc49a208826bb8a6437f8"
 
 
 def digest(data) -> str:

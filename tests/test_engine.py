@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -187,6 +188,38 @@ def test_sound_arith_true_identity_any_seed():
     for seed in range(10):
         rng = np.random.Generator(np.random.Philox(seed))
         assert sound(lhs, rhs, ARITH, rng)
+
+
+# False only where a list holds 0; 12 random environments committed it.
+FALSE_AT_ZERO = ("(filter nonzero (append (append [] []) xs))", "(append [] xs)")
+
+
+def test_sound_rejects_a_pair_false_only_at_zero():
+    lhs, rhs = (parse_term(LIST, text) for text in FALSE_AT_ZERO)
+    for seed in range(20):
+        assert not sound(lhs, rhs, LIST, PhiloxStream(np.random.SeedSequence(seed)))
+
+
+def test_boundary_rejection_draws_nothing():
+    lhs, rhs = (parse_term(LIST, text) for text in FALSE_AT_ZERO)
+    numpy_rng, decoder = _streams(3)
+    assert not sound(lhs, rhs, LIST, decoder)
+    assert decoder.random() == numpy_rng.random()
+
+
+def test_sound_bool_judges_exactly_the_eight_assignments(monkeypatch):
+    judged = []
+
+    def spy(term, env):
+        judged.append(env)
+        return evaluate(term, env)
+    monkeypatch.setattr("eqgrow.engine.evaluate", spy)
+    # no stream: a boolean check draws nothing
+    assert sound(parse_term(BOOLDOM, "(and p q)"),
+                 parse_term(BOOLDOM, "(and q p)"), BOOLDOM, None)
+    worlds = [dict(zip("pqr", values))
+              for values in itertools.product((False, True), repeat=3)]
+    assert judged[::2] == judged[1::2] == worlds
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +628,8 @@ def test_bool_rules_audit_exact():
 
 
 def test_sampled_domains_audit_rate():
-    """Fresh-seed 12-sample recheck passes for >= 95% of committed rules."""
+    """A fresh-seed recheck (the boundary environments, then 12 samples)
+    passes for >= 95% of committed rules."""
     rules = []
     for seed in (0, 1, 2):
         cfg = ArchConfig("arith", "random", "any", 3, 80, seed, 15)

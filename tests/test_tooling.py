@@ -7,12 +7,17 @@ in the package needs a use in src/ or bench/, so that code only the tests
 reach does not pile up; so does every field, slot, method and property of
 a class in the package.  And the engine draws only through its decoder of
 Philox words, never through a numpy Generator of its own.  And only report
-imports csv, so the CSV format has one owner.
+imports csv, so the CSV format has one owner.  And only a log_normal fit
+loads scipy, so that a discovery process does not pay for it.
 """
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -145,3 +150,30 @@ def test_only_report_reads_or_writes_csv():
             if "csv" in names and path.name != "report.py":
                 importers.append(path.name)
     assert importers == []
+
+
+# The series is built with math.erf, so that only the fit can load scipy.
+_SCIPY_PROBE = """
+import json, math, sys
+import eqgrow.engine, eqgrow.sweep, eqgrow.growth
+from eqgrow.growth import GrowthSeries, fit_model
+loaded = ["scipy" in sys.modules]
+t = [float(i) for i in range(1, 201)]
+n = [900.0 * 0.5 * (1.0 + math.erf((math.log(x) - 3.0) / (0.8 * math.sqrt(2.0))))
+     for x in t]
+fit = fit_model("log_normal", GrowthSeries(t, n))
+loaded.append("scipy" in sys.modules)
+print(json.dumps({"loaded": loaded, "params": fit.params, "converged": fit.converged}))
+"""
+
+
+def test_only_a_log_normal_fit_loads_scipy():
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    probe = json.loads(out.stdout)
+    assert probe["loaded"] == [False, True]
+    assert probe["converged"]
+    for name, value in {"a": 900.0, "m": 3.0, "s": 0.8}.items():
+        assert abs(probe["params"][name] - value) < 1e-6 * value
