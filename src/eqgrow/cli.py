@@ -325,8 +325,7 @@ def _cmd_mu(args) -> int:
                   [[i, f] for i, f in enumerate(report.fractions)])
         write_csv(args.out + "_overlap.csv",
                   ["i"] + [str(j) for j in range(len(rules))],
-                  [[i] + [float(v) for v in row]
-                   for i, row in enumerate(report.overlap)])
+                  ([i] + row.tolist() for i, row in enumerate(report.overlap)))
     return EXIT_OK
 
 

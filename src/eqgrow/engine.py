@@ -12,7 +12,9 @@ are generalized to pattern rules, passed through the acceptance filter, and
 committed.  Subterms of committed equations feed a pool that the
 compositional generators draw from.  The loop does not rewrite: a sound
 rule keeps a term's value, so a normal form would have the fingerprint of
-the candidate it came from.
+the candidate it came from.  Its one rule search is the novelty filter's
+probe ``is_reducible``, one walk of the rule index per position of a left
+side, stopping at the first match.
 
 A run is a pure function of its configuration: the pseudo-random stream is
 a counter-based Philox generator keyed by the configuration fields, decoded
@@ -130,14 +132,9 @@ class RuleSet:
 
     The tree is keyed on the preorder symbols ``(kind, label)`` of each
     left side, with every pattern variable a wildcard that skips one whole
-    subterm, so a lookup at a term position returns every rule that could
-    match there and ``match`` confirms it.  Rules take precedence by
-    ``(-hit_count, order of addition)``; a rule that matches at several
-    positions applies at the first in preorder.  A rule whose left side is
-    not an operator application never applies.
-
-    The redexes of each subterm are memoized.  They depend on the rules but
-    not on their hit counts, so the memo holds until the next ``add``.
+    subterm, so a lookup at a term position reaches every rule that could
+    match there and ``match`` confirms it.  A rule whose left side is not an
+    operator application never matches.
     """
 
     def __init__(self):
@@ -147,10 +144,6 @@ class RuleSet:
         self._edges: dict[tuple, int] = {}
         # leaf node -> [(order of addition, rule)]
         self._leaves: dict[int, list[tuple[int, Rule]]] = {}
-        self._redexes: dict[Term, list[tuple[int, int, Rule, dict]]] = {}
-
-    def __len__(self):
-        return len(self.rules)
 
     def add(self, rule: Rule):
         if rule.lhs.kind == "app":
@@ -164,66 +157,36 @@ class RuleSet:
                 node = child
             self._leaves.setdefault(node, []).append((len(self.rules), rule))
         self.rules.append(rule)
-        self._redexes.clear()
 
-    def redexes(self, term: Term) -> list[tuple[int, int, Rule, dict]]:
-        """``(position, order of addition, rule, bindings)`` for each rule
-        whose left side matches the term at a preorder position, with the
-        bindings of that match.  The returned list is shared; do not change
-        it.
-        """
-        found = self._redexes.get(term)
-        if found is not None:
-            return found
-        found = self._root_redexes(term)
-        offset = 1
-        for arg in term.args:
-            found.extend((offset + position, order, rule, bindings)
-                         for position, order, rule, bindings
-                         in self.redexes(arg))
-            offset += arg.size
-        self._redexes[term] = found
-        return found
+    def matches(self, nodes: list[Term], position: int):
+        """``(order of addition, rule, bindings)`` for each rule whose left
+        side matches the subterm at a position of a term's preorder nodes
+        (``_preorder``).
 
-    def _root_redexes(self, term: Term) -> list[tuple[int, int, Rule, dict]]:
-        """The redexes at the root of a term.
-
-        The walk keeps the subterms still to read as a linked list
-        ``(term, rest)``: a symbol edge reads one node and queues its
-        arguments, a wildcard skips one whole subterm.  A symbol has one
-        arity in every substrate, so a path that reaches a leaf of the tree
-        has read exactly the term.
+        The walk reads the nodes by index: a symbol edge reads node i and
+        goes on at i + 1, a wildcard skips the whole subterm at i.  A symbol
+        has one arity in every substrate, so a path that reaches a leaf of
+        the tree has read exactly the subterm.
         """
         edges, leaves = self._edges, self._leaves
-        out = []
-        root = edges.get((0, term.kind, term.label))
-        if root is None:
-            return out
-        stack = [(root, _queue(term.args, None))]
+        term = nodes[position]
+        stack = [(0, position)]
         while stack:
-            node, pending = stack.pop()
+            node, i = stack.pop()
             found = leaves.get(node)
             if found is not None:
                 for order, rule in found:
                     bindings = match(rule.lhs, term)
                     if bindings is not None:
-                        out.append((0, order, rule, bindings))
+                        yield order, rule, bindings
                 continue
-            t, rest = pending
+            t = nodes[i]
             child = edges.get((node, t.kind, t.label))
             if child is not None:
-                stack.append((child, _queue(t.args, rest)))
+                stack.append((child, i + 1))
             child = edges.get((node, None, None))
             if child is not None:
-                stack.append((child, rest))
-        return out
-
-
-def _queue(args: tuple, rest):
-    """The linked list of ``args`` in order, followed by ``rest``."""
-    for arg in reversed(args):
-        rest = (arg, rest)
-    return rest
+                stack.append((child, i + t.size))
 
 
 def _preorder(term: Term) -> list[Term]:
@@ -252,11 +215,6 @@ def _replace_at(term: Term, position: int, replacement: Term) -> Term:
     return Term("app", term.label, None, tuple(args), term.sort)
 
 
-def _precedence(redex: tuple) -> tuple:
-    position, order, rule, _ = redex
-    return (-rule.hit_count, order, position)
-
-
 def normalize(term: Term, ruleset: RuleSet) -> Term:
     """Rewrite to a fixpoint or the step cap.  The discovery loop does not
     rewrite; this is a library function.
@@ -265,25 +223,31 @@ def normalize(term: Term, ruleset: RuleSet) -> Term:
     order of addition)`` wins, at its first preorder position in the term;
     each application increments that rule's hit count.
     """
-    if not ruleset.rules:
-        return term
     for _ in range(NORMALIZE_STEP_CAP):
-        found = ruleset.redexes(term)
-        if not found:
+        nodes = _preorder(term)
+        # (order, position) is unique, so the tuples never compare rules
+        best = min(((-rule.hit_count, order, position, rule, bindings)
+                    for position in range(len(nodes))
+                    for order, rule, bindings in ruleset.matches(nodes, position)),
+                   default=None)
+        if best is None:
             return term
-        position, _, rule, bindings = min(found, key=_precedence)
+        *_, position, rule, bindings = best
         term = _replace_at(term, position, substitute(rule.rhs, bindings))
         rule.hit_count += 1
     return term
 
 
 def is_reducible(term: Term, ruleset: RuleSet) -> bool:
-    """True when any rule matches any position of the term.
+    """True when any rule matches any position of the term; the search
+    stops at the first match.
 
     Read-only probe: hit counts are not touched, so filter checks cannot
     perturb normalization order.
     """
-    return bool(ruleset.redexes(term))
+    nodes = _preorder(term)
+    return any(next(ruleset.matches(nodes, position), None) is not None
+               for position in range(len(nodes)))
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,8 @@ def run_sweep(plan: SweepPlan, out_path, progress=None,
                     f"{ENGINE_VERSION} ({PRNG_ID})")
         if rules_dir is not None:
             os.makedirs(rules_dir, exist_ok=True)
-        workers = plan.workers or os.cpu_count() or 1
-        in_process = workers <= 1 or len(pending) == 1
+        workers = min(plan.workers or os.cpu_count() or 1, len(pending))
+        in_process = workers <= 1
         run = partial(_run_config, rules_dir=rules_dir)
         with open(out_path, "ab") as fh, (
                 contextlib.nullcontext() if in_process

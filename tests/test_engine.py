@@ -311,6 +311,14 @@ def reference_normalize(term, rules):
 PATTERN_VARS = {INT: ("A", "B"), INTLIST: ("C", "D"), BOOL: ("A", "B")}
 
 
+@functools.cache
+def _run_rules(domain):
+    """The committed rules of a real run: hundreds of left sides, with
+    shared prefixes and pattern variables at every depth."""
+    return tuple(run_discovery(
+        ArchConfig(domain, "compositional", "any", 3, 80, 0, 30)).rules)
+
+
 @st.composite
 def _terms(draw, spec, sort, depth, leaves, patterns=()):
     """A term of ``sort`` and depth <= ``depth`` with leaves from
@@ -330,32 +338,44 @@ def _terms(draw, spec, sort, depth, leaves, patterns=()):
     return draw(st.sampled_from(leaves[sort]))
 
 
+def _drawn_rule(draw, spec, leaves):
+    """(lhs, rhs, hit_count): an operator over terms with ``leaves`` onto a
+    term over the left side's pattern variables, or onto its commutation."""
+    sort = draw(st.sampled_from(spec.principal_sorts))
+    op = draw(st.sampled_from(spec.ops_by_result[sort]))
+    lhs = app(op, [draw(_terms(spec, s, 2, leaves)) for s in op.arg_sorts])
+    bound = pattern_variables(lhs)
+    rhs_leaves = {s: list(ls) + [var(n, vs) for n, vs in bound.items() if vs == s]
+                  for s, ls in spec.leaves_by_sort.items()}
+    if len(set(op.arg_sorts)) == 1 and draw(st.integers(0, 3)) == 0:
+        rhs = app(op, lhs.args[::-1])  # commutation: loops to the cap
+    else:
+        rhs = draw(_terms(spec, sort, 2, rhs_leaves))
+    return lhs, rhs, draw(st.integers(0, 2))
+
+
 @st.composite
 def rewrite_problems(draw):
     """(spec, rules as (lhs, rhs, hit_count) in order of addition, term).
 
-    Left sides may repeat a pattern variable; right sides may grow the term,
-    commute the arguments or undo another rule, so some runs end at the
-    step cap; hit counts are drawn from a small range, so ties are common;
-    the term may hold pattern variables of its own.
+    The rules are either the committed rules of a real run, a few of them
+    with preset hits, or up to six drawn ones.  Drawn left sides may repeat
+    a pattern variable; right sides may grow the term, commute the
+    arguments or undo another rule, so some runs end at the step cap.  Hit
+    counts are drawn from a small range, so ties are common; the term may
+    hold pattern variables of its own.
     """
     spec = draw(st.sampled_from((ARITH, BOOLDOM, LIST)))
     with_vars = {s: list(leaves) + [var(n, s) for n in PATTERN_VARS.get(s, ())]
                  for s, leaves in spec.leaves_by_sort.items()}
-    rules = []
-    for _ in range(draw(st.integers(1, 6))):
-        sort = draw(st.sampled_from(spec.principal_sorts))
-        op = draw(st.sampled_from(spec.ops_by_result[sort]))
-        lhs = app(op, [draw(_terms(spec, s, 2, with_vars)) for s in op.arg_sorts])
-        bound = pattern_variables(lhs)
-        rhs_leaves = {s: list(leaves) + [var(n, vs) for n, vs in bound.items()
-                                         if vs == s]
-                      for s, leaves in spec.leaves_by_sort.items()}
-        if len(set(op.arg_sorts)) == 1 and draw(st.integers(0, 3)) == 0:
-            rhs = app(op, lhs.args[::-1])  # commutation: loops to the cap
-        else:
-            rhs = draw(_terms(spec, sort, 2, rhs_leaves))
-        rules.append((lhs, rhs, draw(st.integers(0, 2))))
+    if draw(st.integers(0, 3)) == 0:
+        real = _run_rules(spec.domain_id)
+        hits = draw(st.dictionaries(st.integers(0, len(real) - 1),
+                                    st.integers(1, 2), max_size=8))
+        rules = [(r.lhs, r.rhs, hits.get(i, 0)) for i, r in enumerate(real)]
+    else:
+        rules = [_drawn_rule(draw, spec, with_vars)
+                 for _ in range(draw(st.integers(1, 6)))]
     sort = draw(st.sampled_from(spec.principal_sorts))
     term = draw(_terms(spec, sort, 4, with_vars, [lhs for lhs, *_ in rules]))
     return spec, rules, term
@@ -403,7 +423,7 @@ def test_redex_memo_is_dropped_when_a_rule_is_added():
     term = parse_term(ARITH, "(+ (* (+ x 0) 1) y)")
     first = normalize(term, rs)
     assert first.text == "(+ (+ x 0) y)"
-    assert not is_reducible(first, rs)  # (+ x 0) is memoized without redexes
+    assert not is_reducible(first, rs)  # no rule matches (+ x 0) yet
     rs.add(rule(ARITH, "(+ A 0)", "A"))
     replay = ruleset(*(Rule(r.lhs, r.rhs, r.hit_count) for r in rs.rules))
     assert is_reducible(first, rs)
@@ -529,8 +549,7 @@ def _shrinking_run_rules(domain):
     """The committed rules of a real run that make every instance smaller:
     the left side is larger, and no variable occurs more often on the
     right."""
-    rules = run_discovery(ArchConfig(domain, "compositional", "any", 3, 80, 0, 30)).rules
-    return tuple(r for r in rules if r.lhs.size > r.rhs.size
+    return tuple(r for r in _run_rules(domain) if r.lhs.size > r.rhs.size
                  and not _occurrences(r.rhs) - _occurrences(r.lhs))
 
 

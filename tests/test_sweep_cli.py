@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -6,11 +7,13 @@ import pytest
 
 import eqgrow.sweep as sweep_mod
 from eqgrow.cli import main
-from eqgrow.engine import ConfigError, dump_rules, run_discovery
+from eqgrow.closure import estimate_mu
+from eqgrow.engine import ConfigError, dump_rules, load_rules, run_discovery
 from eqgrow.ingest import CommitRecord
 from eqgrow.report import render_table, svg_line_plot, write_csv
 from eqgrow.sweep import (SweepPlan, analyze, long_range_plan,
                           read_sweep_file, run_sweep)
+from eqgrow.terms import ARITH
 from test_ingest import format_log
 
 SMALL_PLAN = SweepPlan(domains=("bool",), generators=("random",),
@@ -96,6 +99,35 @@ def test_failed_config_reruns(tmp_path, monkeypatch):
     before = out.read_bytes()
     assert run_sweep(plan, out) == records
     assert out.read_bytes() == before and len(calls) == 1
+
+
+def test_sweep_asks_for_no_more_workers_than_pending_configs(tmp_path,
+                                                            monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+    many = SweepPlan(**{**SMALL_PLAN.__dict__, "workers": 5000})
+    records = run_sweep(many, tmp_path / "many.jsonl")
+    assert asked == [len(many.configs())] == [4]
+    assert records == run_sweep(SMALL_PLAN, tmp_path / "one.jsonl")
+    single = SweepPlan(**{**many.__dict__, "depths": (2,), "filters": ("any",)})
+    run_sweep(single, tmp_path / "single.jsonl")
+    assert asked == [4]  # one pending config runs in process
 
 
 def _count_discoveries(monkeypatch, interrupt_at=None):
@@ -675,11 +707,20 @@ def test_cli_fit_empty_series_is_data_error(tmp_path, capsys):
 
 def test_cli_mu_command(tmp_path, capsys):
     rules = tmp_path / "arith.rules"
-    rules.write_text("(+ A 0) => A\n(* A 1) => A\n")
+    rules.write_text("(+ A 0) => A\n(* A 1) => A\n(+ 0 A) => A\n")
     assert main(["mu", str(rules), "--domain", "arith", "--depth", "2",
                  "--out", str(tmp_path / "mu")]) == 0
     assert (tmp_path / "mu_fractions.csv").exists()
-    assert (tmp_path / "mu_overlap.csv").exists()
+    overlap = estimate_mu([r.lhs for r in load_rules(ARITH, rules)],
+                          ARITH, 2).overlap
+    assert 0 < overlap[0, 2] < 1
+    with open(tmp_path / "mu_overlap.csv", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ["i", "0", "1", "2"]
+    assert [int(row[0]) for row in table[1:]] == [0, 1, 2]
+    for row, want in zip(table[1:], overlap, strict=True):
+        assert [float(c) for c in row[1:]] == pytest.approx(want.tolist(),
+                                                            rel=1e-9)
 
 
 def test_cli_mu_space_sums_distinct_sorts(tmp_path, capsys):
