@@ -34,8 +34,8 @@ import numpy as np
 from . import __version__
 from .terms import (
     INT, INTLIST, SubstrateSpec, SUBSTRATES, Term, TermError, evaluate,
-    evaluate_each, generalize, match, parse_term, pattern_variables,
-    substitute, subterms,
+    evaluate_each, evaluator, generalize, match, parse_term,
+    pattern_variables, substitute, subterms,
 )
 
 DOMAINS = tuple(SUBSTRATES)
@@ -89,6 +89,8 @@ class ArchConfig:
             raise ConfigError(f"unknown filter {self.filter!r}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
         if self.depth not in SWEEP_DEPTHS:
             raise ConfigError(f"depth {self.depth} outside sweep set {SWEEP_DEPTHS}")
         if self.batch_size not in SWEEP_BATCH_SIZES:
@@ -134,7 +136,9 @@ class RuleSet:
     left side, with every pattern variable a wildcard that skips one whole
     subterm, so a lookup at a term position reaches every rule that could
     match there and ``match`` confirms it.  A rule whose left side is not an
-    operator application never matches.
+    operator application never matches.  ``add`` only appends; the first
+    lookup after it indexes the new rules, so a run that never looks a rule
+    up builds no tree.
     """
 
     def __init__(self):
@@ -144,9 +148,18 @@ class RuleSet:
         self._edges: dict[tuple, int] = {}
         # leaf node -> [(order of addition, rule)]
         self._leaves: dict[int, list[tuple[int, Rule]]] = {}
+        self._indexed = 0        # the rules[:_indexed] are in the tree
 
     def add(self, rule: Rule):
-        if rule.lhs.kind == "app":
+        self.rules.append(rule)
+
+    def _index(self):
+        """Put the rules added since the last lookup into the tree, in order
+        of addition."""
+        for order in range(self._indexed, len(self.rules)):
+            rule = self.rules[order]
+            if rule.lhs.kind != "app":
+                continue
             node = 0
             for t in _preorder(rule.lhs):
                 key = ((node, None, None) if t.kind == "pvar"
@@ -155,8 +168,8 @@ class RuleSet:
                 if child is None:
                     child = self._edges[key] = len(self._edges) + 1
                 node = child
-            self._leaves.setdefault(node, []).append((len(self.rules), rule))
-        self.rules.append(rule)
+            self._leaves.setdefault(node, []).append((order, rule))
+        self._indexed = len(self.rules)
 
     def matches(self, nodes: list[Term], position: int):
         """``(order of addition, rule, bindings)`` for each rule whose left
@@ -168,6 +181,8 @@ class RuleSet:
         has one arity in every substrate, so a path that reaches a leaf of
         the tree has read exactly the subterm.
         """
+        if self._indexed < len(self.rules):
+            self._index()
         edges, leaves = self._edges, self._leaves
         term = nodes[position]
         stack = [(0, position)]
@@ -256,6 +271,12 @@ def is_reducible(term: Term, ruleset: RuleSet) -> bool:
 
 RAW_BLOCK = 512          # Philox words read per refill
 _U32 = 1 << 32
+# The bounded draws of an environment: a list length in [0, LIST_LEN_MAX] and
+# an int in [INT_LOW, INT_HIGH], each with its rejection threshold.
+_LEN_SPAN = LIST_LEN_MAX + 1
+_INT_SPAN = INT_HIGH - INT_LOW + 1
+_LEN_THRESHOLD = (_U32 - _LEN_SPAN) % _LEN_SPAN
+_INT_THRESHOLD = (_U32 - _INT_SPAN) % _INT_SPAN
 
 
 class PhiloxStream:
@@ -272,25 +293,28 @@ class PhiloxStream:
     draws nothing.  A 32-bit word is the low half of a Philox word, whose
     high half is kept for the next 32-bit word.  ``random()`` is the top 53
     bits of a fresh Philox word and leaves a kept half alone.  A wider range
-    is refused: numpy draws it from whole words.
+    is refused: numpy draws it from whole words.  ``environment`` decodes
+    the bounded draws of a whole ``sample_env`` environment in one loop.
 
     The stream owns its Philox state, so reading RAW_BLOCK words ahead
-    changes no draw.
+    changes no draw.  The words read ahead are a list and the index of the
+    next one.
     """
 
-    __slots__ = ("_bits", "_words", "_half")
+    __slots__ = ("_bits", "_words", "_next", "_half")
 
     def __init__(self, seed: np.random.SeedSequence):
         self._bits = np.random.Philox(seed)
-        self._words = iter(())
+        self._words: list[int] = []
+        self._next = 0
         self._half = None
 
     def _word(self) -> int:
-        try:
-            return next(self._words)
-        except StopIteration:
-            self._words = iter(self._bits.random_raw(RAW_BLOCK).tolist())
-            return next(self._words)
+        i = self._next
+        if i == len(self._words):
+            self._words, i = self._bits.random_raw(RAW_BLOCK).tolist(), 0
+        self._next = i + 1
+        return self._words[i]
 
     def _below(self, span: int) -> int:
         """A draw uniform in [0, span)."""
@@ -324,6 +348,42 @@ class PhiloxStream:
         """A float uniform in [0, 1), on a grid of 2**-53."""
         return (self._word() >> 11) * 2.0 ** -53
 
+    def environment(self, variables) -> dict:
+        """The environment ``sample_env`` draws over ``(name, sort)``
+        variables, decoded in one loop: the draws and the stream position
+        of ``_sample_value`` per variable, in order, through ``_below``'s
+        multiply-shift, rejection and kept half."""
+        words, i, half = self._words, self._next, self._half
+        env = {}
+        for name, sort in variables:
+            if sort == INTLIST:  # a length, then that many ints
+                span, threshold, left = _LEN_SPAN, _LEN_THRESHOLD, -1
+            elif sort == INT:
+                span, threshold, left = _INT_SPAN, _INT_THRESHOLD, 1
+            else:
+                raise ConfigError(f"cannot sample a value of sort {sort}")
+            values = []
+            while left:
+                if half is None:
+                    if i == len(words):
+                        words, i = self._bits.random_raw(RAW_BLOCK).tolist(), 0
+                    word = words[i]
+                    i += 1
+                    half, u = word >> 32, word & 0xFFFFFFFF
+                else:
+                    u, half = half, None
+                m = u * span
+                if m & 0xFFFFFFFF < threshold:
+                    continue
+                if left < 0:
+                    span, threshold, left = _INT_SPAN, _INT_THRESHOLD, m >> 32
+                else:
+                    values.append(INT_LOW + (m >> 32))
+                    left -= 1
+            env[name] = tuple(values) if sort == INTLIST else values[0]
+        self._words, self._next, self._half = words, i, half
+        return env
+
 
 # ---------------------------------------------------------------------------
 # Environments and soundness
@@ -340,7 +400,11 @@ def _sample_value(sort: str, rng: PhiloxStream):
 
 
 def sample_env(spec: SubstrateSpec, rng: PhiloxStream) -> dict:
-    """Random environment over the substrate's variables, in grammar order."""
+    """Random environment over the substrate's variables, in grammar order;
+    the decoder reads it in one pass, numpy's Generator one value at a
+    time."""
+    if isinstance(rng, PhiloxStream):
+        return rng.environment(spec.variables)
     return {name: _sample_value(sort, rng) for name, sort in spec.variables}
 
 
@@ -371,11 +435,18 @@ def sound(lhs: Term, rhs: Term, spec: SubstrateSpec,
     assignment, or on the boundary environments (which draw nothing) and
     then 12 random ones, until the first mismatch.  The discovery loop
     calls it for the sampled domains only: a boolean fingerprint already is
-    this check."""
+    this check.
+
+    A sampled check compiles each side once (``evaluator``) and draws its
+    random environments one at a time, so one that stops early draws no
+    more than it judged; a boolean check evaluates each side per
+    assignment."""
     envs = _environments(spec, rng)
-    if not spec.exhaustive_bool:
-        envs = itertools.chain(_boundary_environments(spec), envs)
-    return all(evaluate(lhs, env) == evaluate(rhs, env) for env in envs)
+    if spec.exhaustive_bool:
+        return all(evaluate(lhs, env) == evaluate(rhs, env) for env in envs)
+    left, right = evaluator(lhs), evaluator(rhs)
+    return all(left(env) == right(env) for env
+               in itertools.chain(_boundary_environments(spec), envs))
 
 
 # ---------------------------------------------------------------------------

@@ -293,22 +293,42 @@ MEANINGS = {
 }
 
 
-def evaluate(term: Term, env: dict):
-    """Evaluate a term under an environment binding its variables, substrate
-    and pattern variables alike, by name.
+def evaluator(term: Term):
+    """The term as a function of an environment that binds its variables,
+    substrate and pattern variables alike, by name: a tree of closures
+    built in one walk, to judge one term under many environments.
 
-    Raises EvalError on an unbound variable (a harness bug, never expected
-    in normal flow).
+    The function raises EvalError on an unbound variable (a harness bug,
+    never expected in normal flow).
     """
     k = term.kind
-    if k == "app":
-        return MEANINGS[term.label](*[evaluate(a, env) for a in term.args])
     if k == "const":
-        return term.value
-    try:
-        return env[term.label]
-    except KeyError:
-        raise EvalError(f"unbound variable {term.label!r}") from None
+        value = term.value
+        return lambda env: value
+    if k != "app":
+        label = term.label
+
+        def lookup(env):
+            try:
+                return env[label]
+            except KeyError:
+                raise EvalError(f"unbound variable {label!r}") from None
+        return lookup
+    meaning = MEANINGS[term.label]
+    args = [evaluator(a) for a in term.args]
+    if len(args) == 1:
+        [a] = args
+        return lambda env: meaning(a(env))
+    if len(args) == 2:
+        a, b = args
+        return lambda env: meaning(a(env), b(env))
+    a, b, c = args  # no operator takes more than three arguments
+    return lambda env: meaning(a(env), b(env), c(env))
+
+
+def evaluate(term: Term, env: dict):
+    """The term's value under an environment, as ``evaluator`` judges it."""
+    return evaluator(term)(env)
 
 
 def evaluate_each(term: Term, envs: list[dict], memo: dict) -> tuple:

@@ -13,6 +13,7 @@ from eqgrow.engine import (
     GeneratorState, PhiloxStream, Rule, RuleSet, dump_rules, generate_candidate,
     is_reducible, load_rules, normalize, record_to_json, run_discovery,
     sample_env, sound, trajectory_record, _config_rng, _environments, _grow,
+    _sample_value,
 )
 from eqgrow.terms import (
     ARITH, BOOL, BOOLDOM, INT, INTLIST, LIST, SUBSTRATES, Term, app, evaluate,
@@ -168,6 +169,49 @@ def test_engine_draws_take_either_stream(spec):
                 == sound(term, before, spec, numpy_rng))
         before = term
     assert decoder.random() == numpy_rng.random()
+
+
+class _ZeroHalves:
+    """Philox words with a zero low half in every third word and a zero
+    high half in the next: u = 0 is rejected for spans 6 and 21 alike."""
+
+    def __init__(self, seed):
+        self._bits = np.random.Philox(np.random.SeedSequence(seed))
+
+    def random_raw(self, n):
+        words = self._bits.random_raw(n)
+        words[::3] &= np.uint64(0xFFFFFFFF00000000)
+        words[1::3] &= np.uint64(0xFFFFFFFF)
+        return words
+
+
+def test_one_pass_environment_draws_as_the_per_value_path():
+    """``environment`` gives each variable ``_sample_value``'s value and
+    leaves the stream where the per-value path leaves it: across a refill
+    of the word block, with a kept half pending, and where halves are
+    rejected (the first half of the stub's first word is 0)."""
+    def pair(seed, bits=None):
+        streams = [PhiloxStream(np.random.SeedSequence(seed)) for _ in range(2)]
+        if bits is not None:
+            for stream in streams:
+                stream._bits = bits(seed)
+        return streams
+
+    for name, lead, odd, (per_value, one_pass) in [
+            ("refill", RAW_BLOCK - 2, 0, pair(11)),
+            ("kept half", 0, 1, pair(12)),
+            ("rejected halves", 0, 0, pair(13, _ZeroHalves))]:
+        for rng in (per_value, one_pass):
+            for _ in range(lead):
+                rng.random()
+            for _ in range(odd):
+                rng.integers(21)  # one half drawn, the other kept
+        for spec in (LIST, ARITH) * 100:  # past a refill in every case
+            want = {var_name: _sample_value(sort, per_value)
+                    for var_name, sort in spec.variables}
+            assert one_pass.environment(spec.variables) == want, name
+        assert one_pass.integers(21) == per_value.integers(21), name
+        assert one_pass.random() == per_value.random(), name
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +715,8 @@ def test_config_validation():
         ArchConfig("arith", "random", "any", 9, 80, 0, 5)
     with pytest.raises(ConfigError):
         ArchConfig("arith", "random", "any", 3, 81, 0, 5)
+    with pytest.raises(ConfigError, match="seed -1"):
+        ArchConfig("arith", "random", "any", 3, 80, -1, 5)
 
 
 def test_rule_file_roundtrip(tmp_path):

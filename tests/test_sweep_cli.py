@@ -412,6 +412,7 @@ def test_cli_sweep_unknown_config_key_is_data_error(tmp_path, capsys, key):
     ({"epochs": "3"}, "epochs"),
     ({"domains": "bool"}, "domains"),
     ({"seeds": ["0"]}, "seeds"),
+    ({"seeds": [-1]}, "seed"),
 ])
 def test_cli_sweep_config_value_types_are_data_errors(tmp_path, capsys, plan,
                                                       field):
